@@ -16,7 +16,8 @@ pub enum RangePolicy {
     SingleRanges,
 }
 
-/// Retry behaviour for idempotent requests.
+/// Retry behaviour for idempotent requests (the full policy is in the
+/// [executor docs](crate::executor#retry-policy)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Extra attempts after the first failure (0 = never retry).

@@ -15,7 +15,37 @@
 //! or chunked framing via [`httpwire::BodySource`]), negotiates
 //! `Expect: 100-continue` so a rejecting server never eats the payload, and
 //! *replays* the body — a fresh reader per attempt — across retries and
-//! 307/308-style redirect hops, all under the shared retry budget.
+//! 307/308-style redirect hops.
+//!
+//! # Retry policy
+//!
+//! Every entry point — [`execute`](HttpExecutor::execute),
+//! [`execute_streaming`](HttpExecutor::execute_streaming),
+//! [`execute_upload`](HttpExecutor::execute_upload) and the
+//! [`DavFile`](crate::DavFile) read paths — runs through one exchange
+//! loop, which applies these rules to every failure of one call:
+//!
+//! * **One budget.** [`RetryPolicy::retries`](crate::RetryPolicy::retries)
+//!   bounds the retries of the whole call: failures before the head, 5xx
+//!   heads and failures while the caller consumes the body all draw on it.
+//! * **Redirects reset it.** Following a `Location` (at most
+//!   [`Config::max_redirects`] per call) starts the new hop with the full
+//!   budget.
+//! * **Stale sessions are free.** A recycled keep-alive session that turns
+//!   out to be dead (the server closed it while idle) is retried on a fresh
+//!   connection without spending budget, at most three times per call.
+//! * **Idempotent methods only.** Transport errors, timeouts and 5xx are
+//!   retried only for idempotent methods; a `POST` sees its first failure.
+//!   Protocol faults (malformed or short responses) are never retried.
+//! * **Where a retry starts.** A 5xx head or a failed exchange retries the
+//!   current hop; a failure while consuming the body restarts from the
+//!   original URI.
+//! * **Capped doubling backoff.** Retry *n* sleeps
+//!   [`RetryPolicy::backoff`](crate::RetryPolicy::backoff) × 2^(n-1), at
+//!   most one minute.
+//! * **Uploads count twice.** Each retry bumps [`Metrics::retries`];
+//!   retries of an [`execute_upload`](HttpExecutor::execute_upload) also
+//!   bump [`Metrics::upload_retries`].
 
 use crate::config::Config;
 use crate::error::{DavixError, Result};
@@ -188,36 +218,12 @@ impl HttpExecutor {
     }
 
     /// Execute with redirects and retries per configuration, collecting the
-    /// whole body into memory. Thin wrapper over
-    /// [`execute_streaming`](Self::execute_streaming) for callers that want
-    /// a `Vec` (error pages, PROPFIND bodies, small objects); large-body
-    /// paths should stream instead.
+    /// whole body into memory. For callers that want a `Vec` (error pages,
+    /// PROPFIND bodies, small objects); large-body paths should
+    /// [stream](Self::execute_streaming) instead. A body that breaks
+    /// mid-collect is retried like any other transient failure.
     pub fn execute(&self, req: &PreparedRequest) -> Result<HttpResponse> {
-        // One retry budget shared between head-stage failures (inside
-        // `execute_streaming_with_budget`) and body-collect failures (here),
-        // exactly like the pre-streaming executor's single counter — the
-        // two loops must not multiply the configured budget.
-        let mut attempts = 0u32;
-        loop {
-            let stream = self.execute_streaming_with_budget(req, &mut attempts)?;
-            match stream.into_response() {
-                Ok(resp) => return Ok(resp),
-                Err(error) => {
-                    // The head arrived but the body broke under us: retry the
-                    // whole exchange when that is safe.
-                    if error.is_retryable()
-                        && req.method.is_idempotent()
-                        && attempts < self.cfg.retry.retries
-                    {
-                        attempts += 1;
-                        Metrics::bump(&self.metrics.retries);
-                        self.backoff_sleep(attempts);
-                        continue;
-                    }
-                    return Err(error);
-                }
-            }
-        }
+        self.execute_with(req, None, ResponseStream::into_response)
     }
 
     /// Execute with redirects and retries per configuration, returning the
@@ -228,77 +234,10 @@ impl HttpExecutor {
     /// half-way).
     ///
     /// Redirect and 5xx-retry responses are consumed internally; the stream
-    /// handed back is always the final hop's.
+    /// handed back is always the final hop's. Body failures are the
+    /// caller's to handle.
     pub fn execute_streaming(&self, req: &PreparedRequest) -> Result<ResponseStream<'_>> {
-        self.execute_streaming_with_budget(req, &mut 0)
-    }
-
-    /// [`execute_streaming`](Self::execute_streaming) with the retry counter
-    /// owned by the caller, so `execute` (and the streaming read paths in
-    /// `file.rs`) can share one budget across the head stage and their own
-    /// body-read retries instead of multiplying it.
-    pub(crate) fn execute_streaming_with_budget(
-        &self,
-        req: &PreparedRequest,
-        attempts: &mut u32,
-    ) -> Result<ResponseStream<'_>> {
-        let mut uri = req.uri.clone();
-        let mut redirects = 0u32;
-        let mut stale_retries = 0u32;
-        loop {
-            match self.try_once(req, &uri) {
-                Ok(raw) => {
-                    let stream = self.make_stream(raw, uri.clone());
-                    if stream.head.status.is_redirect() {
-                        if let Some(loc) = stream.head.headers.get("location").map(str::to_string) {
-                            redirects += 1;
-                            if redirects > self.cfg.max_redirects {
-                                return Err(DavixError::RedirectLoop(self.cfg.max_redirects));
-                            }
-                            Metrics::bump(&self.metrics.redirects);
-                            // Consume the redirect body (so the session can
-                            // be recycled for the next hop) only when that
-                            // is worth anything; a broken body only costs us
-                            // the connection.
-                            stream.finish();
-                            uri = uri.resolve_location(&loc).map_err(DavixError::from)?;
-                            *attempts = 0;
-                            continue;
-                        }
-                    }
-                    // 5xx on an idempotent request: retry within budget (the
-                    // server may recover — matches libdavix's behaviour).
-                    if stream.head.status.is_server_error()
-                        && req.method.is_idempotent()
-                        && *attempts < self.cfg.retry.retries
-                    {
-                        *attempts += 1;
-                        Metrics::bump(&self.metrics.retries);
-                        stream.finish();
-                        self.backoff_sleep(*attempts);
-                        continue;
-                    }
-                    return Ok(stream);
-                }
-                Err(TryError { error, stale }) => {
-                    if stale && stale_retries < MAX_STALE_RETRIES {
-                        // The recycled connection had died under us; the
-                        // request never reached the application. Retry on a
-                        // fresh connection without burning retry budget.
-                        stale_retries += 1;
-                        continue;
-                    }
-                    let retryable = error.is_retryable() && req.method.is_idempotent();
-                    if retryable && *attempts < self.cfg.retry.retries {
-                        *attempts += 1;
-                        Metrics::bump(&self.metrics.retries);
-                        self.backoff_sleep(*attempts);
-                        continue;
-                    }
-                    return Err(error);
-                }
-            }
-        }
+        self.execute_with(req, None, Ok)
     }
 
     /// Execute and require 2xx.
@@ -323,95 +262,101 @@ impl HttpExecutor {
     ///   body anyway (RFC 7231 §5.1.1);
     /// * redirects are followed with the body **replayed** to the new
     ///   location (a fresh [`BodySource`] per hop — the 307/308 contract);
-    /// * 5xx and transport failures on idempotent methods retry within the
-    ///   shared budget, again with a fresh body (counted in
-    ///   [`Metrics::upload_retries`]).
+    /// * retries replay the body too, and are counted in
+    ///   [`Metrics::upload_retries`] as well as [`Metrics::retries`].
     pub fn execute_upload(
         &self,
         req: &PreparedRequest,
         body: &dyn BodyProvider,
     ) -> Result<HttpResponse> {
-        let mut attempts = 0u32;
+        self.execute_with(req, Some(body), ResponseStream::into_response)
+    }
+
+    /// The one exchange loop behind every entry point: run exchanges until
+    /// `consume` accepts a final response, applying the
+    /// [retry policy](self#retry-policy) to every failure — a failed
+    /// exchange, a 5xx head, or an error returned by `consume` itself.
+    pub(crate) fn execute_with<'a, T>(
+        &'a self,
+        req: &PreparedRequest,
+        body: Option<&dyn BodyProvider>,
+        mut consume: impl FnMut(ResponseStream<'a>) -> Result<T>,
+    ) -> Result<T> {
         let mut uri = req.uri.clone();
-        let mut redirects = 0u32;
-        let mut stale_retries = 0u32;
-        let upload_retry = |attempts: &mut u32| {
-            *attempts += 1;
-            Metrics::bump(&self.metrics.retries);
-            Metrics::bump(&self.metrics.upload_retries);
-            self.backoff_sleep(*attempts);
-        };
+        let (mut attempts, mut redirects, mut stale_retries) = (0u32, 0u32, 0u32);
+        let may_retry =
+            |attempts: u32| req.method.is_idempotent() && attempts < self.cfg.retry.retries;
         loop {
-            match self.try_upload_once(req, &uri, body) {
+            match self.try_exchange(req, &uri, body) {
                 Ok(raw) => {
                     let stream = self.make_stream(raw, uri.clone());
-                    if stream.head.status.is_redirect() {
-                        if let Some(loc) = stream.head.headers.get("location").map(str::to_string) {
-                            redirects += 1;
-                            if redirects > self.cfg.max_redirects {
-                                return Err(DavixError::RedirectLoop(self.cfg.max_redirects));
-                            }
-                            Metrics::bump(&self.metrics.redirects);
-                            stream.finish();
-                            uri = uri.resolve_location(&loc).map_err(DavixError::from)?;
-                            attempts = 0;
-                            continue;
+                    let location = match stream.head.headers.get("location") {
+                        Some(loc) if stream.head.status.is_redirect() => Some(loc.to_string()),
+                        _ => None,
+                    };
+                    if let Some(loc) = location {
+                        redirects += 1;
+                        if redirects > self.cfg.max_redirects {
+                            return Err(DavixError::RedirectLoop(self.cfg.max_redirects));
                         }
-                    }
-                    if stream.head.status.is_server_error()
-                        && req.method.is_idempotent()
-                        && attempts < self.cfg.retry.retries
-                    {
+                        Metrics::bump(&self.metrics.redirects);
                         stream.finish();
-                        upload_retry(&mut attempts);
+                        uri = uri.resolve_location(&loc)?;
+                        attempts = 0;
                         continue;
                     }
-                    match stream.into_response() {
-                        Ok(resp) => return Ok(resp),
-                        Err(error) => {
-                            // The head arrived but the (small) response body
-                            // broke: retry the whole exchange when safe.
-                            if error.is_retryable()
-                                && req.method.is_idempotent()
-                                && attempts < self.cfg.retry.retries
-                            {
-                                upload_retry(&mut attempts);
-                                continue;
+                    if stream.head.status.is_server_error() && may_retry(attempts) {
+                        stream.finish();
+                    } else {
+                        match consume(stream) {
+                            Ok(t) => return Ok(t),
+                            // The head arrived but the body broke under
+                            // `consume`: rerun the whole exchange.
+                            Err(error) if error.is_retryable() && may_retry(attempts) => {
+                                uri = req.uri.clone();
                             }
-                            return Err(error);
+                            Err(error) => return Err(error),
                         }
                     }
                 }
-                Err(TryError { error, stale }) => {
-                    if stale && stale_retries < MAX_STALE_RETRIES {
-                        stale_retries += 1;
-                        continue;
-                    }
-                    if error.is_retryable()
-                        && req.method.is_idempotent()
-                        && attempts < self.cfg.retry.retries
-                    {
-                        upload_retry(&mut attempts);
-                        continue;
-                    }
-                    return Err(error);
+                // The recycled connection had died under us; the request
+                // never reached the application.
+                Err(TryError { stale: true, .. }) if stale_retries < MAX_STALE_RETRIES => {
+                    stale_retries += 1;
+                    continue;
                 }
+                Err(TryError { error, .. }) if error.is_retryable() && may_retry(attempts) => {}
+                Err(TryError { error, .. }) => return Err(error),
             }
+            attempts += 1;
+            Metrics::bump(&self.metrics.retries);
+            if body.is_some() {
+                Metrics::bump(&self.metrics.upload_retries);
+            }
+            self.backoff_sleep(attempts);
         }
     }
 
-    /// One upload exchange: checkout, write head, negotiate
-    /// `Expect: 100-continue`, stream the body, read the final head.
-    fn try_upload_once(
+    /// One exchange: checkout, write the request, read the final head
+    /// (skipping interim 1xx) — the body stays on the wire for the
+    /// [`ResponseStream`] to consume.
+    ///
+    /// Without a provider, an in-memory `req.body` is serialized with the
+    /// head into one buffer: one transport write, one segment train. A
+    /// provider's body streams after the head instead, behind
+    /// `Expect: 100-continue` when large enough.
+    fn try_exchange(
         &self,
         req: &PreparedRequest,
         uri: &Uri,
-        body: &dyn BodyProvider,
+        body: Option<&dyn BodyProvider>,
     ) -> std::result::Result<RawStream, TryError> {
-        let source = body.open().map_err(|error| TryError { error, stale: false })?;
-        let ep = Endpoint::of(uri);
-        let mut session =
-            self.pool.acquire(&ep).map_err(|error| TryError { error, stale: false })?;
+        let source =
+            body.map(|p| p.open()).transpose().map_err(|error| TryError { error, stale: false })?;
+        let mut session = self
+            .pool
+            .acquire(&Endpoint::of(uri))
+            .map_err(|error| TryError { error, stale: false })?;
         let reused = session.reused;
 
         let mut head = RequestHead::new(req.method.clone(), uri.request_target());
@@ -419,81 +364,57 @@ impl HttpExecutor {
         head.headers = req.headers.clone();
         head.headers.set("Host", uri.authority());
         head.headers.set("User-Agent", &self.cfg.user_agent);
-        source.apply_framing(&mut head.headers);
-        // `u64::MAX` disables Expect for *every* body, including
-        // unknown-length ones (which otherwise always negotiate).
-        let expect = self.cfg.expect_continue_threshold != u64::MAX
-            && !source.is_empty()
-            && source.len().is_none_or(|n| n >= self.cfg.expect_continue_threshold);
-        if expect {
-            head.headers.set("Expect", "100-continue");
+        let inline = if source.is_none() { req.body.as_deref() } else { None };
+        let mut expect = false;
+        if let Some(source) = &source {
+            source.apply_framing(&mut head.headers);
+            // `u64::MAX` disables Expect for *every* body, including
+            // unknown-length ones (which otherwise always negotiate).
+            expect = self.cfg.expect_continue_threshold != u64::MAX
+                && !source.is_empty()
+                && source.len().is_none_or(|n| n >= self.cfg.expect_continue_threshold);
+            if expect {
+                head.headers.set("Expect", "100-continue");
+            }
+        } else if let Some(inline) = inline {
+            head.headers.set("Content-Length", inline.len().to_string());
         }
+        let mut wire = head.to_bytes();
+        wire.extend_from_slice(inline.unwrap_or_default());
 
         Metrics::bump(&self.metrics.requests);
-        session.note_request();
-        let wire = head.to_bytes();
         Metrics::add(&self.metrics.bytes_out, wire.len() as u64);
+        // `bytes_uploaded` counts *payload* stores only — a PROPFIND or
+        // multipart-complete XML body is protocol chatter, not an upload.
+        // Provider bodies are always payload (counted as they stream).
+        if let (Method::Put, Some(inline)) = (&req.method, inline) {
+            Metrics::add(&self.metrics.bytes_uploaded, inline.len() as u64);
+        }
+        session.note_request();
         if let Err(e) = session.writer.write_all(&wire) {
             self.pool.release(session, false);
             return Err(TryError { error: e.into(), stale: reused });
         }
 
-        if expect {
-            match self.await_continue(&mut session) {
-                AwaitContinue::Proceed => {}
-                AwaitContinue::Timeout => {} // send the body anyway (§5.1.1)
-                AwaitContinue::Final(rhead) => {
-                    // The server answered without wanting the body (reject,
-                    // redirect). The payload was never sent — that is the
-                    // whole point of Expect — but the server may still be
-                    // waiting for body bytes, so the connection cannot be
-                    // recycled after this response.
+        if let Some(source) = source {
+            match self.send_body(&mut session, source, expect, reused) {
+                Ok(None) => {}
+                // A final response arrived instead of (or cut short) the
+                // body; the server may still be waiting for body bytes, so
+                // the connection cannot be recycled after it.
+                Ok(Some(rhead)) => {
                     let framing = response_body_len(&req.method, &rhead);
                     return Ok(RawStream { head: rhead, session, framing, keep: false });
                 }
-                AwaitContinue::Dead(error) => {
-                    let stale = reused
-                        && matches!(&error, DavixError::Connection(io)
-                            if io.kind() == std::io::ErrorKind::UnexpectedEof);
+                Err(e) => {
                     self.pool.release(session, false);
-                    return Err(TryError { error, stale });
+                    return Err(e);
                 }
             }
         }
 
-        match source.write_to(&mut session.writer) {
-            Ok(n) => {
-                Metrics::add(&self.metrics.bytes_out, n);
-                Metrics::add(&self.metrics.bytes_uploaded, n);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                // Our own source ended short of its declared length: a
-                // caller-side fault (file truncated under us), never
-                // retryable — a replay would lie to the server again.
-                self.pool.release(session, false);
-                return Err(TryError {
-                    error: DavixError::InvalidArgument(e.to_string()),
-                    stale: false,
-                });
-            }
-            Err(e) => {
-                // Transport died mid-body — often because the server
-                // already answered (reject + close). Salvage that final
-                // response if it made it onto the wire: it explains the
-                // failure far better than "broken pipe".
-                if let Ok(rhead) = read_response_head(&mut session.reader) {
-                    if !rhead.status.is_informational() {
-                        let framing = response_body_len(&req.method, &rhead);
-                        return Ok(RawStream { head: rhead, session, framing, keep: false });
-                    }
-                }
-                self.pool.release(session, false);
-                return Err(TryError { error: e.into(), stale: false });
-            }
-        }
-
-        // Read the final head, skipping any interim 1xx (a slow server's
-        // `100 Continue` may arrive after our wait already timed out).
+        // Skip interim 1xx heads: `103 Early Hints`, or a slow server's
+        // `100 Continue` arriving after our wait already timed out.
         let rhead = loop {
             match read_response_head(&mut session.reader) {
                 Ok(h) if h.status.is_informational() => continue,
@@ -509,6 +430,54 @@ impl HttpExecutor {
         let keep =
             rhead.headers.keep_alive(rhead.version == Version::Http11) && framing != BodyLen::Close;
         Ok(RawStream { head: rhead, session, framing, keep })
+    }
+
+    /// Stream a provider body after its head, first awaiting the
+    /// `Expect: 100-continue` verdict when one was negotiated.
+    /// `Ok(Some(head))` is a final response that made the body unwanted
+    /// (the payload was never sent — the whole point of Expect) or that
+    /// explains why the transport died under it.
+    fn send_body(
+        &self,
+        session: &mut Session,
+        source: BodySource<'_>,
+        expect: bool,
+        reused: bool,
+    ) -> std::result::Result<Option<ResponseHead>, TryError> {
+        if expect {
+            match self.await_continue(session) {
+                // Silence sends the body anyway (RFC 7231 §5.1.1).
+                AwaitContinue::Proceed | AwaitContinue::Timeout => {}
+                AwaitContinue::Final(rhead) => return Ok(Some(rhead)),
+                AwaitContinue::Dead(error) => {
+                    let stale = reused
+                        && matches!(&error, DavixError::Connection(io)
+                            if io.kind() == std::io::ErrorKind::UnexpectedEof);
+                    return Err(TryError { error, stale });
+                }
+            }
+        }
+        match source.write_to(&mut session.writer) {
+            Ok(n) => {
+                Metrics::add(&self.metrics.bytes_out, n);
+                Metrics::add(&self.metrics.bytes_uploaded, n);
+                Ok(None)
+            }
+            // Our own source ended short of its declared length: a
+            // caller-side fault (file truncated under us), never retryable —
+            // a replay would lie to the server again.
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+                Err(TryError { error: DavixError::InvalidArgument(e.to_string()), stale: false })
+            }
+            // Transport died mid-body — often because the server already
+            // answered (reject + close). Salvage that final response if it
+            // made it onto the wire: it explains the failure far better
+            // than "broken pipe".
+            Err(e) => match read_response_head(&mut session.reader) {
+                Ok(rhead) if !rhead.status.is_informational() => Ok(Some(rhead)),
+                _ => Err(TryError { error: e.into(), stale: false }),
+            },
+        }
     }
 
     /// Wait briefly for the `Expect: 100-continue` verdict: the interim
@@ -555,7 +524,7 @@ impl HttpExecutor {
     /// Sleep the exponential backoff for retry number `attempts` (1-based).
     /// `checked_mul` + a ceiling keep any configured backoff/retry count
     /// from overflowing `Duration` (which panics in `Duration * u32`).
-    pub(crate) fn backoff_sleep(&self, attempts: u32) {
+    fn backoff_sleep(&self, attempts: u32) {
         let factor = 2u32.saturating_pow(attempts.saturating_sub(1));
         let backoff = self
             .cfg
@@ -585,61 +554,6 @@ impl HttpExecutor {
             stream.release(keep_alive);
         }
         stream
-    }
-
-    /// One request/response exchange: checkout, write, read the head — the
-    /// body stays on the wire for the [`ResponseStream`] to consume.
-    fn try_once(
-        &self,
-        req: &PreparedRequest,
-        uri: &Uri,
-    ) -> std::result::Result<RawStream, TryError> {
-        let ep = Endpoint::of(uri);
-        let mut session =
-            self.pool.acquire(&ep).map_err(|error| TryError { error, stale: false })?;
-        let reused = session.reused;
-
-        // Serialize head + body into one buffer → one transport write → the
-        // whole request travels in one segment train.
-        let mut head = RequestHead::new(req.method.clone(), uri.request_target());
-        head.version = Version::Http11;
-        head.headers = req.headers.clone();
-        head.headers.set("Host", uri.authority());
-        head.headers.set("User-Agent", &self.cfg.user_agent);
-        if let Some(body) = &req.body {
-            head.headers.set("Content-Length", body.len().to_string());
-        }
-        let mut wire = head.to_bytes();
-        if let Some(body) = &req.body {
-            wire.extend_from_slice(body);
-        }
-
-        Metrics::bump(&self.metrics.requests);
-        Metrics::add(&self.metrics.bytes_out, wire.len() as u64);
-        // `bytes_uploaded` counts *payload* stores only — a PROPFIND or
-        // multipart-complete XML body is protocol chatter, not an upload.
-        if let (Method::Put, Some(body)) = (&req.method, &req.body) {
-            Metrics::add(&self.metrics.bytes_uploaded, body.len() as u64);
-        }
-        session.note_request();
-
-        if let Err(e) = session.writer.write_all(&wire) {
-            self.pool.release(session, false);
-            return Err(TryError { error: e.into(), stale: reused });
-        }
-
-        let rhead = match read_response_head(&mut session.reader) {
-            Ok(h) => h,
-            Err(e) => {
-                self.pool.release(session, false);
-                let stale = reused && matches!(e, WireError::UnexpectedEof);
-                return Err(TryError { error: e.into(), stale });
-            }
-        };
-        let framing = response_body_len(&req.method, &rhead);
-        let keep =
-            rhead.headers.keep_alive(rhead.version == Version::Http11) && framing != BodyLen::Close;
-        Ok(RawStream { head: rhead, session, framing, keep })
     }
 }
 

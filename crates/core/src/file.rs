@@ -201,22 +201,9 @@ impl RawFile {
             return Ok(0);
         }
         let want = buf.len().min((self.size - offset) as usize);
-        with_read_retries(&self.inner.executor, |attempts| {
-            self.pread_attempt(offset, buf, want, attempts)
-        })
-    }
-
-    fn pread_attempt(
-        &self,
-        offset: u64,
-        buf: &mut [u8],
-        want: usize,
-        attempts: &mut u32,
-    ) -> Result<usize> {
         let range = format_range_header(&[(offset, want)]);
         let req = PreparedRequest::get(self.uri.clone()).header("Range", range);
-        let mut resp = self.inner.executor.execute_streaming_with_budget(&req, attempts)?;
-        match resp.status() {
+        self.inner.executor.execute_with(&req, None, |mut resp| match resp.status() {
             StatusCode::PARTIAL_CONTENT => {
                 validated_content_range(resp.head(), offset, want, "pread")?;
                 read_exact_stream(&mut resp, &mut buf[..want], "pread")?;
@@ -238,7 +225,7 @@ impl RawFile {
                 Ok(0)
             }
             status => Err(DavixError::from_status(status, format!("pread {}", self.uri))),
-        }
+        })
     }
 
     /// Vectored positional read (§2.3): fetch every `(offset, len)` fragment.
@@ -300,19 +287,22 @@ impl RawFile {
     /// One multi-range GET; decode whichever shape the server chose,
     /// incrementally off the wire.
     fn fetch_multirange(&self, wire: &[(u64, usize)]) -> Result<Vec<Chunk>> {
-        with_read_retries(&self.inner.executor, |attempts| self.multirange_attempt(wire, attempts))
-    }
-
-    fn multirange_attempt(&self, wire: &[(u64, usize)], attempts: &mut u32) -> Result<Vec<Chunk>> {
         let range = format_range_header(wire);
         let req = PreparedRequest::get(self.uri.clone()).header("Range", range);
+        self.inner.executor.execute_with(&req, None, |resp| self.decode_multirange(resp, wire))
+    }
+
+    fn decode_multirange(
+        &self,
+        mut resp: ResponseStream<'_>,
+        wire: &[(u64, usize)],
+    ) -> Result<Vec<Chunk>> {
         Metrics::bump(&self.inner.executor.metrics().vectored_requests);
         // Everything we asked for lives inside this span; anything a part
         // claims outside it is a lie (and a lying length must not drive an
         // allocation either — hence the part limit).
         let span_first = wire.iter().map(|&(o, _)| o).min().unwrap_or(0);
         let span_end = wire.iter().map(|&(o, l)| o + l as u64).max().unwrap_or(0);
-        let mut resp = self.inner.executor.execute_streaming_with_budget(&req, attempts)?;
         match resp.status() {
             StatusCode::PARTIAL_CONTENT => {
                 let ct = resp.head().headers.get("content-type").unwrap_or("").to_string();
@@ -396,10 +386,9 @@ impl RawFile {
             wire.to_vec(),
             self.inner.cfg.vector_fallback_parallelism,
             move |(off, len): (u64, usize)| -> Result<Chunk> {
-                with_read_retries(&inner.executor, |attempts| {
-                    let range = format_range_header(&[(off, len)]);
-                    let req = PreparedRequest::get(uri.clone()).header("Range", range);
-                    let mut resp = inner.executor.execute_streaming_with_budget(&req, attempts)?;
+                let range = format_range_header(&[(off, len)]);
+                let req = PreparedRequest::get(uri.clone()).header("Range", range);
+                inner.executor.execute_with(&req, None, |mut resp| {
                     let mut data = vec![0u8; len];
                     match resp.status() {
                         StatusCode::PARTIAL_CONTENT => {
@@ -519,30 +508,6 @@ impl DavFile {
 struct Chunk {
     first: u64,
     data: Vec<u8>,
-}
-
-/// Run one read exchange with the executor's retry policy applied to *body*
-/// failures too, like the old buffered path: `op` gets the shared attempt
-/// counter (threaded into `execute_streaming_with_budget`, so head-stage and
-/// body-stage failures draw on one budget, never a multiplied one). Only
-/// retryable errors (transport resets, timeouts) re-run `op`; protocol
-/// faults — wrong `Content-Range`, short bodies — fail immediately. Every
-/// caller here issues GETs, which are idempotent by definition.
-fn with_read_retries<T>(
-    ex: &crate::executor::HttpExecutor,
-    mut op: impl FnMut(&mut u32) -> Result<T>,
-) -> Result<T> {
-    let mut attempts = 0u32;
-    loop {
-        match op(&mut attempts) {
-            Err(e) if e.is_retryable() && attempts < ex.config().retry.retries => {
-                attempts += 1;
-                Metrics::bump(&ex.metrics().retries);
-                ex.backoff_sleep(attempts);
-            }
-            other => return other,
-        }
-    }
 }
 
 /// Parse a `Content-Range` header off a `206` head, or fail as a protocol

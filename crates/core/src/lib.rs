@@ -112,7 +112,7 @@
 //!   `Expect: 100-continue`: a server that rejects (auth, quota, redirect)
 //!   answers before the payload ever travels. Retries and redirect hops
 //!   **replay** the body from a fresh reader — the 307/308 contract — under
-//!   the same shared retry budget as the read path. The buffered
+//!   the executor's one [retry policy](executor#retry-policy). The buffered
 //!   [`DavPosix::put`] remains for small objects.
 //! * **Parallel chunked upload** ([`multistream_upload`]): the write-side
 //!   twin of [`multistream_download`], after GridFTP's parallel transfer.

@@ -69,9 +69,15 @@ impl HeaderMap {
 
     // ---- typed helpers -----------------------------------------------------
 
-    /// Parsed `Content-Length`, if present and well-formed.
+    /// Parsed `Content-Length`, if present and well-formed: one or more
+    /// ASCII digits and nothing else (RFC 9112 §6.3) — `u64::from_str`
+    /// alone would also take a leading `+`.
     pub fn content_length(&self) -> Option<u64> {
-        self.get("content-length").and_then(|v| v.trim().parse().ok())
+        let v = self.get("content-length")?.trim();
+        if v.is_empty() || !v.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        v.parse().ok()
     }
 
     /// Whether `Transfer-Encoding` ends with `chunked` (RFC 7230 §3.3.3).
@@ -161,6 +167,10 @@ mod tests {
         h.set("Content-Length", " 42 ");
         assert_eq!(h.content_length(), Some(42));
         h.set("Content-Length", "nope");
+        assert_eq!(h.content_length(), None);
+        h.set("Content-Length", "+42");
+        assert_eq!(h.content_length(), None);
+        h.set("Content-Length", "-1");
         assert_eq!(h.content_length(), None);
     }
 

@@ -5,11 +5,17 @@
 //! davix-simfuzz --seeds-file crates/sim-fuzz/seeds.txt --fresh 4 --base 12345
 //! davix-simfuzz --seed 7 --canary eager-commit   # prove the harness catches bugs
 //! davix-simfuzz --seed 7 --canary unsync-metric  # ditto for the race-detect sanitizer
-//! davix-simfuzz --seed 7 --trace out.jsonl       # dump the virtual-time event trace
+//! davix-simfuzz --seeds-file crates/sim-fuzz/seeds.txt --trace out.jsonl
 //! ```
 //!
 //! Every failure prints `FAIL seed=<u64> plan=<fingerprint> ...` — feeding
 //! that seed back via `--seed` replays the run bit-identically.
+//!
+//! `--trace PATH` writes the virtual-time event trace of every seed run,
+//! passing or failing, to one JSONL file (one event per line, tagged with
+//! its `"seed"`). Traces are a pure function of the seed and the code, so
+//! diffing the corpus traces of two builds shows whether a change altered
+//! any exchange on the simulated wire.
 
 use sim_fuzz::{run_one, Canary, FuzzConfig};
 use std::io::Write;
@@ -31,7 +37,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: davix-simfuzz [--seed N]... [--seeds-file F] [--fresh N [--base B]]\n\
          \x20                    [--ops N] [--canary eager-commit|unsync-metric] [--trace PATH]\n\
-         \x20                    [--github-annotations]"
+         \x20                    [--github-annotations]\n\n\
+         \x20 --trace PATH  write the virtual-time event trace of every seed, passing\n\
+         \x20               or failing, to PATH as JSONL (each line tagged \"seed\")"
     );
     std::process::exit(2);
 }
@@ -118,12 +126,15 @@ fn fresh_seeds(base: u64, n: usize) -> Vec<u64> {
     (0..n as u64).map(|i| netsim::SplitRng::at(base, 0x5eed, i).next_u64()).collect()
 }
 
-fn write_trace(path: &str, trace: &[(std::time::Duration, String)]) -> std::io::Result<()> {
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
+fn write_trace(
+    out: &mut impl Write,
+    seed: u64,
+    trace: &[(std::time::Duration, String)],
+) -> std::io::Result<()> {
     for (t, ev) in trace {
-        writeln!(f, "{{\"t_ns\":{},\"event\":{:?}}}", t.as_nanos(), ev)?;
+        writeln!(out, "{{\"seed\":{seed},\"t_ns\":{},\"event\":{:?}}}", t.as_nanos(), ev)?;
     }
-    f.flush()
+    out.flush()
 }
 
 fn main() -> ExitCode {
@@ -150,6 +161,13 @@ fn main() -> ExitCode {
         usage();
     }
 
+    let mut trace_out = args.trace.as_ref().map(|path| {
+        let file = std::fs::File::create(path).unwrap_or_else(|e| {
+            eprintln!("cannot create trace file {path}: {e}");
+            std::process::exit(2);
+        });
+        std::io::BufWriter::new(file)
+    });
     let mut failures = 0usize;
     for seed in seeds {
         let mut cfg = FuzzConfig { seed, canary: args.canary, ..Default::default() };
@@ -159,6 +177,11 @@ fn main() -> ExitCode {
         let fingerprint = cfg.plan.fingerprint(seed);
         match catch_unwind(AssertUnwindSafe(|| run_one(&cfg))) {
             Ok(report) => {
+                if let (Some(out), Some(path)) = (trace_out.as_mut(), &args.trace) {
+                    if let Err(e) = write_trace(out, report.seed, &report.trace) {
+                        eprintln!("cannot write trace {path}: {e}");
+                    }
+                }
                 if report.passed() {
                     println!("ok   {}", report.summary());
                 } else {
@@ -178,12 +201,11 @@ fn main() -> ExitCode {
                     }
                     println!("     repro: davix-simfuzz --seed {}", report.seed);
                     if let Some(path) = &args.trace {
-                        match write_trace(path, &report.trace) {
-                            Ok(()) => {
-                                println!("     trace: {path} ({} events)", report.trace.len())
-                            }
-                            Err(e) => eprintln!("cannot write trace {path}: {e}"),
-                        }
+                        println!(
+                            "     trace: {path} (seed={}, {} events)",
+                            report.seed,
+                            report.trace.len()
+                        );
                     }
                 }
             }

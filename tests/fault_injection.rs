@@ -9,8 +9,11 @@ use davix::{Config, DavixClient, DavixError, PreparedRequest, RetryPolicy};
 use davix_repro::testbed::{Testbed, TestbedConfig};
 use davix_sync::{AtomicU32, Ordering};
 use httpd::{HttpServer, Response, ServerConfig};
-use httpwire::StatusCode;
-use netsim::{LinkSpec, SimNet};
+use httpwire::multipart::{MultipartWriter, MULTIPART_BYTERANGES};
+use httpwire::range::parse_range_header;
+use httpwire::{ContentRange, Method, StatusCode};
+use netsim::{LinkSpec, Runtime as _, SimNet, SimStream, Stream as _};
+use std::io::{BufReader, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -181,7 +184,6 @@ fn head_requests_survive_fault_free_path_without_body() {
 
 #[test]
 fn idempotent_put_is_retried_but_post_is_not() {
-    use httpwire::Method;
     let data = payload(1_000);
 
     // PUT is idempotent (RFC 7231 §4.2.2): one injected 500 is absorbed.
@@ -205,4 +207,414 @@ fn idempotent_put_is_retried_but_post_is_not() {
         .expect("transport ok; server answered 500");
     assert!(resp.head.status.is_server_error(), "the 500 must surface for POST");
     assert_eq!(client.metrics().retries, before, "no retry may be recorded for POST");
+}
+
+// ---- exact retry-policy pins ----------------------------------------------
+//
+// One hand-rolled server with a per-request fault script drives every
+// executor entry point through the same failure shapes, and each case
+// asserts exact counts: requests the server saw, requests the client sent,
+// and the `retries` / `upload_retries` / `redirects` metrics. `retries: 2`
+// throughout, so a one-failure script is absorbed and a three-failure
+// script exhausts the shared budget.
+
+/// What the scripted server does to one request that reaches the object.
+#[derive(Clone, Copy, Debug)]
+enum Fault {
+    /// Answer `503` (small body, keep-alive).
+    Status5xx,
+    /// Read the request, then reset the connection before any response.
+    ResetBeforeHead,
+    /// Send the head and half the body, then reset the connection.
+    ResetMidBody,
+    /// Serve normally, then close without announcing it: the client pools
+    /// a session that is already dead.
+    CloseAfter,
+    /// Send an interim `103 Early Hints` head before the real response.
+    EarlyHints,
+}
+
+/// Serves one object on host `s` at any path. `HEAD` always succeeds and
+/// is not counted. Any other request for `/r/<name>` is answered
+/// `307 Location: http://s/<name>`; every other request consumes the next
+/// [`Fault`] of the script (served normally once the script runs out).
+/// `GET` honours single and multi-range `Range` headers; `PUT` drains its
+/// body and answers `201`.
+struct ScriptedServer {
+    net: SimNet,
+    data: Vec<u8>,
+    script: Vec<Fault>,
+    /// Non-HEAD requests received, redirected ones included.
+    served: AtomicU32,
+    /// Script position: requests that reached the object.
+    next: AtomicU32,
+}
+
+impl ScriptedServer {
+    fn start(net: &SimNet, data: Vec<u8>, script: Vec<Fault>) -> Arc<ScriptedServer> {
+        let server = Arc::new(ScriptedServer {
+            net: net.clone(),
+            data,
+            script,
+            served: AtomicU32::new(0),
+            next: AtomicU32::new(0),
+        });
+        let listener = net.bind("s", 80).unwrap();
+        let srv = Arc::clone(&server);
+        net.spawn("scripted-accept", move || {
+            let mut conn_id = 0u32;
+            while let Ok((stream, _)) = listener.accept_sim() {
+                conn_id += 1;
+                let srv2 = Arc::clone(&srv);
+                srv.net.spawn(&format!("scripted-conn-{conn_id}"), move || srv2.serve(stream));
+            }
+        });
+        server
+    }
+
+    fn served(&self) -> u32 {
+        self.served.load(Ordering::SeqCst)
+    }
+
+    /// Reset every live connection of host `s`: its peers see
+    /// `ConnectionReset`, not a clean EOF.
+    fn reset(&self) {
+        self.net.set_host_down("s", true);
+        self.net.set_host_down("s", false);
+    }
+
+    fn serve(&self, stream: SimStream) {
+        let mut w = stream.try_clone().unwrap();
+        let mut r = BufReader::new(stream);
+        while let Ok(Some(head)) = httpwire::parse::read_request_head(&mut r) {
+            let mut body = vec![0u8; head.headers.content_length().unwrap_or(0) as usize];
+            if r.read_exact(&mut body).is_err() {
+                return;
+            }
+            if head.method == Method::Head {
+                let _ = write!(w, "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n", self.data.len());
+                continue;
+            }
+            self.served.fetch_add(1, Ordering::SeqCst);
+            if let Some(name) = head.target.strip_prefix("/r/") {
+                let _ = write!(
+                    w,
+                    "HTTP/1.1 307 Temporary Redirect\r\nLocation: http://s/{name}\r\n\
+                     Content-Length: 0\r\n\r\n"
+                );
+                continue;
+            }
+            let (resp_head, resp_body) = self.response(&head);
+            let n = self.next.fetch_add(1, Ordering::SeqCst) as usize;
+            match self.script.get(n) {
+                Some(Fault::Status5xx) => {
+                    let _ = w.write_all(
+                        b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 4\r\n\r\nbusy",
+                    );
+                }
+                Some(Fault::ResetBeforeHead) => return self.reset(),
+                Some(Fault::ResetMidBody) => {
+                    let _ = w.write_all(resp_head.as_bytes());
+                    let _ = w.write_all(&resp_body[..resp_body.len() / 2]);
+                    // Let the partial body land before the reset.
+                    self.net.runtime().sleep(Duration::from_millis(20));
+                    return self.reset();
+                }
+                Some(Fault::CloseAfter) => {
+                    let _ = w.write_all(resp_head.as_bytes());
+                    let _ = w.write_all(&resp_body);
+                    return;
+                }
+                Some(Fault::EarlyHints) => {
+                    let _ =
+                        w.write_all(b"HTTP/1.1 103 Early Hints\r\nLink: </f>; rel=preload\r\n\r\n");
+                    let _ = w.write_all(resp_head.as_bytes());
+                    let _ = w.write_all(&resp_body);
+                }
+                None => {
+                    let _ = w.write_all(resp_head.as_bytes());
+                    let _ = w.write_all(&resp_body);
+                }
+            }
+        }
+    }
+
+    fn response(&self, head: &httpwire::RequestHead) -> (String, Vec<u8>) {
+        let total = self.data.len() as u64;
+        if head.method == Method::Put {
+            let body = b"created\n".to_vec();
+            let h = format!("HTTP/1.1 201 Created\r\nContent-Length: {}\r\n\r\n", body.len());
+            return (h, body);
+        }
+        let Some(range) = head.headers.get("range") else {
+            let h = format!("HTTP/1.1 200 OK\r\nContent-Length: {total}\r\n\r\n");
+            return (h, self.data.clone());
+        };
+        let windows: Vec<(u64, u64)> = parse_range_header(range)
+            .unwrap()
+            .into_iter()
+            .map(|spec| spec.resolve(total).unwrap())
+            .collect();
+        if let [(first, last)] = windows[..] {
+            let body = self.data[first as usize..=last as usize].to_vec();
+            let h = format!(
+                "HTTP/1.1 206 Partial Content\r\nContent-Length: {}\r\n\
+                 Content-Range: bytes {first}-{last}/{total}\r\n\r\n",
+                body.len()
+            );
+            return (h, body);
+        }
+        let mut parts = MultipartWriter::new(Vec::new(), "PIN");
+        for (first, last) in windows {
+            let cr = ContentRange { first, last, total: Some(total) };
+            let data = &self.data[first as usize..=last as usize];
+            parts.write_part("application/octet-stream", cr, data).unwrap();
+        }
+        let body = parts.finish().unwrap();
+        let h = format!(
+            "HTTP/1.1 206 Partial Content\r\nContent-Length: {}\r\n\
+             Content-Type: {MULTIPART_BYTERANGES}; boundary=PIN\r\n\r\n",
+            body.len()
+        );
+        (h, body)
+    }
+}
+
+/// The executor entry points the pins cover.
+#[derive(Clone, Copy, Debug)]
+enum Entry {
+    Execute,
+    Streaming,
+    Upload,
+    Pread,
+    PreadVec,
+}
+
+/// A failure shape: the fault script, whether the request goes through a
+/// `307` first, and how many times the operation runs (a stale session
+/// needs a first run to leave the dead connection in the pool).
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    Head5xx,
+    ResetBeforeHead,
+    ResetMidBody,
+    StaleSession,
+    RedirectThen5xx,
+    RedirectThenMidBody,
+    BudgetExhausted,
+}
+
+impl Shape {
+    fn script(self) -> Vec<Fault> {
+        match self {
+            Shape::Head5xx | Shape::RedirectThen5xx => vec![Fault::Status5xx],
+            Shape::ResetBeforeHead => vec![Fault::ResetBeforeHead],
+            Shape::ResetMidBody | Shape::RedirectThenMidBody => vec![Fault::ResetMidBody],
+            Shape::StaleSession => vec![Fault::CloseAfter],
+            Shape::BudgetExhausted => {
+                vec![Fault::Status5xx, Fault::ResetMidBody, Fault::ResetMidBody]
+            }
+        }
+    }
+
+    fn path(self) -> &'static str {
+        match self {
+            Shape::RedirectThen5xx | Shape::RedirectThenMidBody => "/r/f",
+            _ => "/f",
+        }
+    }
+
+    fn runs(self) -> u32 {
+        match self {
+            Shape::StaleSession => 2,
+            _ => 1,
+        }
+    }
+}
+
+/// Exact outcome of one pinned case.
+#[derive(Debug, PartialEq, Eq)]
+struct Counts {
+    /// Non-HEAD requests the server received.
+    served: u32,
+    /// Requests the client sent (stale-session attempts included).
+    requests: u64,
+    retries: u64,
+    upload_retries: u64,
+    redirects: u64,
+    /// Every run delivered the right bytes.
+    ok: bool,
+}
+
+const fn counts(
+    served: u32,
+    requests: u64,
+    retries: u64,
+    upload_retries: u64,
+    redirects: u64,
+    ok: bool,
+) -> Counts {
+    Counts { served, requests, retries, upload_retries, redirects, ok }
+}
+
+const PIN_FRAGMENTS: [(u64, usize); 3] = [(0, 100), (4000, 100), (8000, 100)];
+
+/// Run `entry` `runs` times against a fresh [`ScriptedServer`] and count.
+fn run_pinned(entry: Entry, script: Vec<Fault>, path: &str, runs: u32) -> Counts {
+    let net = SimNet::new();
+    net.add_host("c");
+    net.add_host("s");
+    net.set_link("c", "s", LinkSpec { delay: Duration::from_millis(1), ..Default::default() });
+    let data = payload(8192);
+    let server = ScriptedServer::start(&net, data.clone(), script);
+    let _g = net.enter();
+    let client = DavixClient::new(
+        net.connector("c"),
+        net.runtime(),
+        Config {
+            retry: RetryPolicy { retries: 2, backoff: Duration::from_millis(1) },
+            ..Config::default()
+        },
+    );
+    let url = format!("http://s{path}");
+    let file = match entry {
+        Entry::Pread | Entry::PreadVec => Some(client.open(&url).unwrap()),
+        _ => None,
+    };
+    let uri = client.parse_url(&url).unwrap();
+    let ex = client.executor();
+    let before = client.metrics();
+    let mut ok = true;
+    for _ in 0..runs {
+        ok &= match entry {
+            Entry::Execute => ex
+                .execute(&PreparedRequest::get(uri.clone()))
+                .is_ok_and(|r| r.head.status == StatusCode::OK && r.body == data),
+            Entry::Streaming => {
+                ex.execute_streaming(&PreparedRequest::get(uri.clone())).is_ok_and(|mut s| {
+                    let mut got = Vec::new();
+                    s.status() == StatusCode::OK && s.read_to_end(&mut got).is_ok() && got == data
+                })
+            }
+            Entry::Upload => ex
+                .execute_upload(
+                    &PreparedRequest::new(Method::Put, uri.clone()),
+                    &Bytes::from(vec![7u8; 1000]),
+                )
+                .is_ok_and(|r| r.head.status == StatusCode::CREATED && r.body == b"created\n"),
+            Entry::Pread => {
+                let mut buf = vec![0u8; 1000];
+                let f = file.as_ref().unwrap();
+                f.pread(3000, &mut buf).is_ok_and(|n| n == 1000 && buf == data[3000..4000])
+            }
+            Entry::PreadVec => file.as_ref().unwrap().pread_vec(&PIN_FRAGMENTS).is_ok_and(|got| {
+                got.iter()
+                    .zip(PIN_FRAGMENTS)
+                    .all(|(g, (off, len))| g[..] == data[off as usize..off as usize + len])
+            }),
+        };
+    }
+    let after = client.metrics();
+    Counts {
+        served: server.served(),
+        requests: after.requests - before.requests,
+        retries: after.retries - before.retries,
+        upload_retries: after.upload_retries - before.upload_retries,
+        redirects: after.redirects - before.redirects,
+        ok,
+    }
+}
+
+/// The executor's retry policy, pinned exactly for every entry point and
+/// failure shape: 5xx and transport failures burn the shared budget, a
+/// failure after the head retries the whole exchange from the original
+/// URI (so a redirect is followed again and resets the budget), stale
+/// recycled sessions retry for free, and `upload_retries` counts the
+/// retries of streaming uploads. `execute_streaming` hands body failures
+/// to its caller.
+#[test]
+fn retry_policy_is_pinned_per_entry_point_and_failure_shape() {
+    use Entry::*;
+    use Shape::*;
+    let table: &[(Entry, Shape, Counts)] = &[
+        (Execute, Head5xx, counts(2, 2, 1, 0, 0, true)),
+        (Execute, ResetBeforeHead, counts(2, 2, 1, 0, 0, true)),
+        (Execute, ResetMidBody, counts(2, 2, 1, 0, 0, true)),
+        (Execute, StaleSession, counts(2, 3, 0, 0, 0, true)),
+        (Execute, RedirectThen5xx, counts(3, 3, 1, 0, 1, true)),
+        (Execute, RedirectThenMidBody, counts(4, 4, 1, 0, 2, true)),
+        (Execute, BudgetExhausted, counts(3, 3, 2, 0, 0, false)),
+        (Streaming, Head5xx, counts(2, 2, 1, 0, 0, true)),
+        (Streaming, ResetBeforeHead, counts(2, 2, 1, 0, 0, true)),
+        (Streaming, ResetMidBody, counts(1, 1, 0, 0, 0, false)),
+        (Streaming, StaleSession, counts(2, 3, 0, 0, 0, true)),
+        (Streaming, RedirectThen5xx, counts(3, 3, 1, 0, 1, true)),
+        (Streaming, RedirectThenMidBody, counts(2, 2, 0, 0, 1, false)),
+        (Streaming, BudgetExhausted, counts(2, 2, 1, 0, 0, false)),
+        (Upload, Head5xx, counts(2, 2, 1, 1, 0, true)),
+        (Upload, ResetBeforeHead, counts(2, 2, 1, 1, 0, true)),
+        (Upload, ResetMidBody, counts(2, 2, 1, 1, 0, true)),
+        (Upload, StaleSession, counts(2, 3, 0, 0, 0, true)),
+        (Upload, RedirectThen5xx, counts(3, 3, 1, 1, 1, true)),
+        (Upload, BudgetExhausted, counts(3, 3, 2, 2, 0, false)),
+        (Pread, Head5xx, counts(2, 2, 1, 0, 0, true)),
+        (Pread, ResetBeforeHead, counts(2, 2, 1, 0, 0, true)),
+        (Pread, ResetMidBody, counts(2, 2, 1, 0, 0, true)),
+        (Pread, StaleSession, counts(2, 3, 0, 0, 0, true)),
+        (Pread, RedirectThen5xx, counts(3, 3, 1, 0, 1, true)),
+        (Pread, RedirectThenMidBody, counts(4, 4, 1, 0, 2, true)),
+        (Pread, BudgetExhausted, counts(3, 3, 2, 0, 0, false)),
+        (PreadVec, Head5xx, counts(2, 2, 1, 0, 0, true)),
+        (PreadVec, ResetBeforeHead, counts(2, 2, 1, 0, 0, true)),
+        // A reset inside a multipart part surfaces from `MultipartReader` as
+        // `UnexpectedEof`, a protocol fault, so it is not retried (a known
+        // gap, listed in ROADMAP.md).
+        (PreadVec, ResetMidBody, counts(1, 1, 0, 0, 0, false)),
+        (PreadVec, StaleSession, counts(2, 3, 0, 0, 0, true)),
+        (PreadVec, RedirectThen5xx, counts(3, 3, 1, 0, 1, true)),
+        (PreadVec, RedirectThenMidBody, counts(2, 2, 0, 0, 1, false)),
+        (PreadVec, BudgetExhausted, counts(2, 2, 1, 0, 0, false)),
+    ];
+    let mut mismatches = Vec::new();
+    for (entry, shape, want) in table {
+        let got = run_pinned(*entry, shape.script(), shape.path(), shape.runs());
+        if got != *want {
+            mismatches.push(format!("{entry:?} × {shape:?}: want {want:?}, got {got:?}"));
+        }
+    }
+    assert!(mismatches.is_empty(), "retry-policy drift:\n{}", mismatches.join("\n"));
+}
+
+/// An upload whose response body fails after a redirect restarts from the
+/// original URI like every other entry point: the redirect is followed
+/// again (resetting the budget) before the body is replayed.
+#[test]
+fn upload_body_failure_after_redirect_restarts_at_the_original_uri() {
+    let got = run_pinned(Entry::Upload, vec![Fault::ResetMidBody], "/r/f", 1);
+    assert_eq!(got, counts(4, 4, 1, 1, 2, true));
+}
+
+/// An interim `103 Early Hints` before a `206` must be skipped: `pread`
+/// gets the real response, and the recycled session stays positioned at a
+/// message boundary for the next request.
+#[test]
+fn interim_1xx_before_a_range_response_is_skipped() {
+    let net = SimNet::new();
+    net.add_host("c");
+    net.add_host("s");
+    net.set_link("c", "s", LinkSpec { delay: Duration::from_millis(1), ..Default::default() });
+    let data = payload(8192);
+    let server = ScriptedServer::start(&net, data.clone(), vec![Fault::EarlyHints]);
+    let _g = net.enter();
+    let client = DavixClient::new(net.connector("c"), net.runtime(), Config::default().no_retry());
+    let f = client.open("http://s/f").unwrap();
+    let mut buf = vec![0u8; 500];
+    assert_eq!(f.pread(1000, &mut buf).unwrap(), 500);
+    assert_eq!(buf, data[1000..1500]);
+    assert_eq!(f.pread(6000, &mut buf).unwrap(), 500);
+    assert_eq!(buf, data[6000..6500]);
+    let m = client.metrics();
+    assert_eq!(server.served(), 2);
+    assert_eq!(m.sessions_created, 1, "the session must be recycled after the 1xx exchange");
+    assert_eq!(m.retries, 0);
 }
