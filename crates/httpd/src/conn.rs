@@ -14,10 +14,15 @@
 //! its head and body have fully arrived — a slowloris client trickling one
 //! header byte per second is evicted with `408 Request Timeout` when that
 //! budget expires, having cost one timer-wheel entry instead of a thread.
+//!
+//! Request bodies are framed by [`httpwire::parse::BodyFraming`], the same
+//! state machine the client reads responses with; its rustdoc states the
+//! framing rules. The connection feeds it whatever the read buffer holds,
+//! and it resumes at any byte boundary when more arrives.
 
 use crate::server::{encode_response, Handler, Request, Response, ServerConfig, ServerStats};
 use davix_sync::{AtomicUsize, Ordering};
-use httpwire::parse::{read_request_head, request_body_len, BodyLen, MAX_HEAD_BYTES};
+use httpwire::parse::{read_request_head, request_body_len, BodyFraming, MAX_HEAD_BYTES};
 use httpwire::{RequestHead, StatusCode, Version};
 use netsim::{BoxedStream, DriveOutcome, Driven, Signal};
 use std::io::{self, Cursor};
@@ -33,10 +38,6 @@ const MAX_WBUF: usize = 256 * 1024;
 /// How long a closing connection may take to drain its final response
 /// before it is dropped.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
-/// Budget for one chunk-size line (matches the blocking parser).
-const CHUNK_LINE_BUDGET: usize = 1024;
-/// Budget for the trailer section of a chunked body.
-const TRAILER_BUDGET: usize = 8 * 1024;
 
 /// Shared live-connection accounting between the accept loop (which blocks
 /// when the table is full) and the connections (which free their slot on
@@ -59,126 +60,6 @@ impl Drop for ConnSlotGuard {
     }
 }
 
-/// Incremental request-body decoder over buffered bytes. Unlike
-/// [`httpwire::parse::BodyFraming`] it can suspend at any byte boundary:
-/// "no more buffered input" is [`DecodeStep::NeedMore`], never an error.
-enum BodyDecode {
-    Fixed { remaining: u64 },
-    Chunked(ChunkPhase),
-}
-
-enum ChunkPhase {
-    /// Before or inside a chunk-size line.
-    Size,
-    /// Inside chunk data.
-    Data { remaining: u64 },
-    /// Awaiting the CRLF that closes a chunk.
-    DataCrlf,
-    /// Inside the trailer section after the zero chunk.
-    Trailers,
-}
-
-enum DecodeStep {
-    /// Buffer exhausted before the body completed.
-    NeedMore,
-    /// Body fully decoded; `rbuf` is positioned at the next message.
-    Complete,
-    /// Framing violation: answer 400 and close.
-    Error,
-}
-
-impl BodyDecode {
-    fn new(len: BodyLen) -> Option<Self> {
-        match len {
-            BodyLen::Fixed(n) => Some(BodyDecode::Fixed { remaining: n }),
-            BodyLen::Chunked => Some(BodyDecode::Chunked(ChunkPhase::Size)),
-            // Requests are never close-delimited (RFC 7230 §3.3.3) and a
-            // `None` body skips the body phase entirely.
-            BodyLen::None | BodyLen::Close => None,
-        }
-    }
-
-    /// Consume as much of `rbuf` as the framing allows into `body`.
-    fn step(&mut self, rbuf: &mut Vec<u8>, body: &mut Vec<u8>) -> DecodeStep {
-        loop {
-            match self {
-                BodyDecode::Fixed { remaining } => {
-                    if *remaining == 0 {
-                        return DecodeStep::Complete;
-                    }
-                    if rbuf.is_empty() {
-                        return DecodeStep::NeedMore;
-                    }
-                    let take = (*remaining).min(rbuf.len() as u64) as usize;
-                    body.extend_from_slice(&rbuf[..take]);
-                    rbuf.drain(..take);
-                    *remaining -= take as u64;
-                }
-                BodyDecode::Chunked(phase) => match phase {
-                    ChunkPhase::Size => {
-                        let Some(nl) = rbuf.iter().position(|&b| b == b'\n') else {
-                            if rbuf.len() > CHUNK_LINE_BUDGET {
-                                return DecodeStep::Error;
-                            }
-                            return DecodeStep::NeedMore;
-                        };
-                        let mut line = &rbuf[..nl];
-                        if line.last() == Some(&b'\r') {
-                            line = &line[..line.len() - 1];
-                        }
-                        let size_part = line.split(|&b| b == b';').next().unwrap_or(b"");
-                        let size = std::str::from_utf8(size_part)
-                            .ok()
-                            .and_then(|s| u64::from_str_radix(s.trim(), 16).ok());
-                        rbuf.drain(..=nl);
-                        match size {
-                            Some(0) => *phase = ChunkPhase::Trailers,
-                            Some(n) => *phase = ChunkPhase::Data { remaining: n },
-                            None => return DecodeStep::Error,
-                        }
-                    }
-                    ChunkPhase::Data { remaining } => {
-                        if *remaining == 0 {
-                            *phase = ChunkPhase::DataCrlf;
-                            continue;
-                        }
-                        if rbuf.is_empty() {
-                            return DecodeStep::NeedMore;
-                        }
-                        let take = (*remaining).min(rbuf.len() as u64) as usize;
-                        body.extend_from_slice(&rbuf[..take]);
-                        rbuf.drain(..take);
-                        *remaining -= take as u64;
-                    }
-                    ChunkPhase::DataCrlf => {
-                        if rbuf.len() < 2 {
-                            return DecodeStep::NeedMore;
-                        }
-                        if &rbuf[..2] != b"\r\n" {
-                            return DecodeStep::Error;
-                        }
-                        rbuf.drain(..2);
-                        *phase = ChunkPhase::Size;
-                    }
-                    ChunkPhase::Trailers => {
-                        let Some(nl) = rbuf.iter().position(|&b| b == b'\n') else {
-                            if rbuf.len() > TRAILER_BUDGET {
-                                return DecodeStep::Error;
-                            }
-                            return DecodeStep::NeedMore;
-                        };
-                        let empty = nl == 0 || (nl == 1 && rbuf[0] == b'\r');
-                        rbuf.drain(..=nl);
-                        if empty {
-                            return DecodeStep::Complete;
-                        }
-                    }
-                },
-            }
-        }
-    }
-}
-
 /// Where the connection is in its request/response cycle. Each phase owns
 /// the instant its timeout clock started.
 enum Phase {
@@ -188,7 +69,7 @@ enum Phase {
     /// from the request's first byte).
     Head { since: Duration },
     /// Head parsed; collecting the body (same total budget as the head).
-    Body { head: RequestHead, body: Vec<u8>, decode: BodyDecode, since: Duration },
+    Body { head: RequestHead, body: Vec<u8>, framing: BodyFraming, since: Duration },
     /// Request fully read; dispatch the handler at `at` (the configured
     /// `process_delay` is a timer deadline, not a sleeping thread).
     Respond { req: Option<Request>, at: Duration },
@@ -341,14 +222,12 @@ impl HttpConn {
         {
             self.wbuf.extend_from_slice(b"HTTP/1.1 100 Continue\r\n\r\n");
         }
-        match request_body_len(&head) {
+        match request_body_len(&head).map(BodyFraming::new) {
             Err(_) => self.reject(StatusCode::BAD_REQUEST, now),
-            Ok(len) => match BodyDecode::new(len) {
-                None => self.finish_request(head, Vec::new(), now),
-                Some(decode) => {
-                    self.phase = Phase::Body { head, body: Vec::new(), decode, since: started };
-                }
-            },
+            Ok(framing) if framing.is_done() => self.finish_request(head, Vec::new(), now),
+            Ok(framing) => {
+                self.phase = Phase::Body { head, body: Vec::new(), framing, since: started };
+            }
         }
     }
 
@@ -486,35 +365,32 @@ impl HttpConn {
             }
         }
         loop {
-            let step = {
-                let Phase::Body { body, decode, .. } = &mut self.phase else { unreachable!() };
-                decode.step(&mut self.rbuf, body)
+            let decoded = {
+                let Phase::Body { body, framing, .. } = &mut self.phase else { unreachable!() };
+                framing.decode(&self.rbuf, body).map(|used| (used, framing.is_done()))
             };
-            match step {
-                DecodeStep::Complete => {
-                    let prev = std::mem::replace(&mut self.phase, Phase::Idle { since: now });
-                    let Phase::Body { head, body, .. } = prev else { unreachable!() };
-                    self.finish_request(head, body, now);
-                    return Step::Again;
+            let Ok((used, done)) = decoded else {
+                self.reject(StatusCode::BAD_REQUEST, now);
+                return Step::Again;
+            };
+            self.rbuf.drain(..used);
+            if done {
+                let prev = std::mem::replace(&mut self.phase, Phase::Idle { since: now });
+                let Phase::Body { head, body, .. } = prev else { unreachable!() };
+                self.finish_request(head, body, now);
+                return Step::Again;
+            }
+            if self.eof {
+                return Step::Close; // peer died mid-body
+            }
+            match self.fill() {
+                Fill::Grew => continue,
+                Fill::Eof => {
+                    self.eof = true;
+                    continue;
                 }
-                DecodeStep::Error => {
-                    self.reject(StatusCode::BAD_REQUEST, now);
-                    return Step::Again;
-                }
-                DecodeStep::NeedMore => {
-                    if self.eof {
-                        return Step::Close; // peer died mid-body
-                    }
-                    match self.fill() {
-                        Fill::Grew => continue,
-                        Fill::Eof => {
-                            self.eof = true;
-                            continue;
-                        }
-                        Fill::WouldBlock => return Step::Park,
-                        Fill::Err => return Step::Close,
-                    }
-                }
+                Fill::WouldBlock => return Step::Park,
+                Fill::Err => return Step::Close,
             }
         }
     }

@@ -350,6 +350,7 @@ pub fn read_full_response(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use httpwire::parse::BodyLen;
     use httpwire::Method;
     use netsim::{LinkSpec, SimNet};
     use std::io::{BufReader, Write};
@@ -730,6 +731,86 @@ mod tests {
         assert_eq!(head.status, StatusCode::OK);
         assert_eq!(body, b"done");
         assert!(head.headers.connection_has("close"));
+    }
+
+    /// A chunked body whose first size line carries an extension padded to
+    /// make that line, CRLF included, exactly `line` bytes long.
+    fn chunked_with_size_line(line: usize) -> Vec<u8> {
+        [b"5;".as_slice(), &vec![b'a'; line - 4], b"\r\nhello\r\n0\r\n\r\n"].concat()
+    }
+
+    /// A chunked body whose trailer section (final empty line included) is
+    /// exactly `total` bytes, made of short lines.
+    fn chunked_with_trailers(total: usize) -> Vec<u8> {
+        let line = |n: usize| [b"X-T: ".as_slice(), &vec![b'v'; n - 7], b"\r\n"].concat();
+        let lines = (total - 2) / 64;
+        let mut wire = b"5\r\nhello\r\n0\r\n".to_vec();
+        wire.extend(line(total - 2 - (lines - 1) * 64));
+        for _ in 1..lines {
+            wire.extend(line(64));
+        }
+        wire.extend_from_slice(b"\r\n");
+        wire
+    }
+
+    /// The server decoding a request body and the client decoding a
+    /// response body reach the same verdict and payload for the same bytes
+    /// (the rules are listed on `httpwire::parse::BodyFraming`).
+    #[test]
+    fn chunked_framing_verdicts_agree_between_server_and_client() {
+        let hello: Option<&[u8]> = Some(b"hello");
+        let rows = vec![
+            ("plain", b"5\r\nhello\r\n0\r\n\r\n".to_vec(), hello),
+            ("two chunks", b"2\r\nhe\r\n3\r\nllo\r\n0\r\n\r\n".to_vec(), hello),
+            ("plus sign", b"+5\r\nhello\r\n0\r\n\r\n".to_vec(), None),
+            ("leading space", b" 5\r\nhello\r\n0\r\n\r\n".to_vec(), None),
+            ("0x prefix", b"0x5\r\nhello\r\n0\r\n\r\n".to_vec(), None),
+            ("empty size", b"\r\nhello\r\n0\r\n\r\n".to_vec(), None),
+            ("16 digits", b"0000000000000005\r\nhello\r\n0\r\n\r\n".to_vec(), hello),
+            ("17 digits", b"00000000000000005\r\nhello\r\n0\r\n\r\n".to_vec(), None),
+            ("SP/HTAB after digits", b"5 \t;x=1\r\nhello\r\n0 \r\n\r\n".to_vec(), hello),
+            ("byte after SP", b"5 5\r\nhello\r\n0\r\n\r\n".to_vec(), None),
+            ("1024-byte size line", chunked_with_size_line(1024), hello),
+            ("1025-byte size line", chunked_with_size_line(1025), None),
+            ("2000-byte size line", chunked_with_size_line(2000), None),
+            ("non-UTF-8 extension", b"5;\xff\xfe\r\nhello\r\n0\r\n\r\n".to_vec(), hello),
+            ("non-UTF-8 trailer", b"5\r\nhello\r\n0\r\nX: \xff\r\n\r\n".to_vec(), hello),
+            ("8 KiB of trailers", chunked_with_trailers(8192), hello),
+            ("8 KiB + 1 of trailers", chunked_with_trailers(8193), None),
+            ("16 KiB of trailers", chunked_with_trailers(16 * 1024), None),
+            ("bare LF line ends", b"5\nhello\r\n0\nX: y\n\n".to_vec(), hello),
+            ("bare LF after data", b"5\r\nhello\n0\r\n\r\n".to_vec(), None),
+            ("junk after data", b"5\r\nhelloXX0\r\n\r\n".to_vec(), None),
+        ];
+        let (net, rt) = sim_pair();
+        let body_echo = |req: Request| Response::with_body(StatusCode::OK, "text/plain", req.body);
+        HttpServer::new(Arc::new(body_echo), ServerConfig::default())
+            .serve(Box::new(net.bind("server", 80).unwrap()), rt);
+        let _g = net.enter();
+        let mut mismatches = Vec::new();
+        for (name, wire, want) in &rows {
+            let client =
+                BodyReader::new(&mut std::io::Cursor::new(wire), BodyLen::Chunked).read_all().ok();
+            let c = net.connect("client", "server", 80).unwrap();
+            let mut w = netsim::Stream::try_clone(&c).unwrap();
+            let mut request =
+                b"PUT /t HTTP/1.1\r\nHost: server\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+            request.extend_from_slice(wire);
+            // A rejecting server may close before it has read everything.
+            let _ = w.write_all(&request);
+            let (head, body) = read_full_response(&mut BufReader::new(c), &Method::Put).unwrap();
+            let server = match head.status {
+                StatusCode::OK => Some(body),
+                StatusCode::BAD_REQUEST => None,
+                other => panic!("{name}: unexpected status {other:?}"),
+            };
+            for (side, got) in [("client", client), ("server", server)] {
+                if got.as_deref() != *want {
+                    mismatches.push(format!("{name}: {side} gave {got:?}, want {want:?}"));
+                }
+            }
+        }
+        assert!(mismatches.is_empty(), "framing verdicts differ:\n{}", mismatches.join("\n"));
     }
 
     #[test]

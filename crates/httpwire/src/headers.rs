@@ -69,27 +69,31 @@ impl HeaderMap {
 
     // ---- typed helpers -----------------------------------------------------
 
-    /// Parsed `Content-Length`, if present and well-formed: one or more
-    /// ASCII digits and nothing else (RFC 9112 §6.3) — `u64::from_str`
-    /// alone would also take a leading `+`.
+    /// Parsed `Content-Length`, if present and well-formed (RFC 9112 §6.3):
+    /// every value, across lines and comma-separated lists, is one or more
+    /// ASCII digits (`u64::from_str` alone would also take a leading `+`),
+    /// and all values agree.
     pub fn content_length(&self) -> Option<u64> {
-        let v = self.get("content-length")?.trim();
-        if v.is_empty() || !v.bytes().all(|b| b.is_ascii_digit()) {
-            return None;
-        }
-        v.parse().ok()
+        let mut values = self.get_all("content-length").flat_map(|v| v.split(',')).map(|v| {
+            let v = v.trim();
+            if v.is_empty() || !v.bytes().all(|b| b.is_ascii_digit()) {
+                return None;
+            }
+            v.parse::<u64>().ok()
+        });
+        let first = values.next()??;
+        values.all(|v| v == Some(first)).then_some(first)
     }
 
-    /// Whether `Transfer-Encoding` ends with `chunked` (RFC 7230 §3.3.3).
+    /// Whether the final transfer coding, across every `Transfer-Encoding`
+    /// line, is `chunked` (RFC 9112 §6.1).
     pub fn is_chunked(&self) -> bool {
-        self.get("transfer-encoding")
-            .map(|v| {
-                v.split(',')
-                    .next_back()
-                    .map(|t| t.trim().eq_ignore_ascii_case("chunked"))
-                    .unwrap_or(false)
-            })
-            .unwrap_or(false)
+        self.get_all("transfer-encoding")
+            .flat_map(|v| v.split(','))
+            .map(str::trim)
+            .filter(|t| !t.is_empty())
+            .last()
+            .is_some_and(|t| t.eq_ignore_ascii_case("chunked"))
     }
 
     /// Whether a `Connection` token matches `token` (case-insensitive).
@@ -172,6 +176,11 @@ mod tests {
         assert_eq!(h.content_length(), None);
         h.set("Content-Length", "-1");
         assert_eq!(h.content_length(), None);
+        h.set("Content-Length", "7, 7");
+        h.append("Content-Length", "7");
+        assert_eq!(h.content_length(), Some(7));
+        h.append("Content-Length", "8");
+        assert_eq!(h.content_length(), None);
     }
 
     #[test]
@@ -181,6 +190,9 @@ mod tests {
         assert!(h.is_chunked());
         h.set("Transfer-Encoding", "chunked, gzip");
         assert!(!h.is_chunked());
+        h.set("Transfer-Encoding", "gzip");
+        h.append("Transfer-Encoding", "chunked");
+        assert!(h.is_chunked());
         h.remove("Transfer-Encoding");
         assert!(!h.is_chunked());
     }

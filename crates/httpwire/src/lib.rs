@@ -7,7 +7,9 @@
 //! * message heads ([`RequestHead`], [`ResponseHead`]) with a case-insensitive
 //!   multi-value [`HeaderMap`];
 //! * body framing: `Content-Length`, `Transfer-Encoding: chunked`
-//!   (reader *and* writer, including trailers) and read-to-close;
+//!   (reader *and* writer, including trailers) and read-to-close, read by
+//!   one resumable state machine, [`BodyFraming`], that the client and the
+//!   server share; its rustdoc states the chunked framing rules;
 //! * streaming request bodies ([`BodySource`]): any [`std::io::Read`] of
 //!   known or unknown length, emitted with `Content-Length` or chunked
 //!   framing — the write-side mirror of [`BodyFraming`];

@@ -5,6 +5,7 @@
 //! packs many fragment reads into one `Range` header, and the server answers
 //! with one `206` whose body interleaves `Content-Range`-labelled parts.
 
+use crate::parse::wire_error_from_io;
 use crate::{ContentRange, HeaderMap, WireError};
 use std::io::{BufRead, Write};
 
@@ -204,11 +205,12 @@ impl<R: BufRead> MultipartReader<R> {
                 )));
             }
         }
+        // A transport failure stays `WireError::Io`, so callers can retry it.
         let mut data = vec![0u8; range.len() as usize];
-        std::io::Read::read_exact(&mut self.r, &mut data).map_err(|_| WireError::UnexpectedEof)?;
+        std::io::Read::read_exact(&mut self.r, &mut data).map_err(wire_error_from_io)?;
         // The CRLF after the payload belongs to the next delimiter.
         let mut crlf = [0u8; 2];
-        std::io::Read::read_exact(&mut self.r, &mut crlf).map_err(|_| WireError::UnexpectedEof)?;
+        std::io::Read::read_exact(&mut self.r, &mut crlf).map_err(wire_error_from_io)?;
         if &crlf != b"\r\n" {
             return Err(WireError::BadMultipart("payload not followed by CRLF".to_string()));
         }

@@ -109,18 +109,26 @@ pub enum BodyLen {
     Close,
 }
 
-/// Body length of a request per RFC 7230 §3.3.3 (requests never use
-/// read-to-close).
+/// Body length of a request per RFC 9112 §6.3 (requests never use
+/// read-to-close). A request whose framing is ambiguous is an error, to be
+/// answered with 400 and a close: a transfer coding that does not end in
+/// `chunked`, `Transfer-Encoding` together with `Content-Length`, or
+/// `Content-Length` values that are malformed or disagree.
 pub fn request_body_len(head: &RequestHead) -> Result<BodyLen, WireError> {
-    if head.headers.is_chunked() {
-        return Ok(BodyLen::Chunked);
+    let headers = &head.headers;
+    let bad = |why: &str| Err(WireError::BadHeader(why.to_string()));
+    let has_length = headers.contains("content-length");
+    if headers.contains("transfer-encoding") {
+        return match (headers.is_chunked(), has_length) {
+            (true, false) => Ok(BodyLen::Chunked),
+            (false, _) => bad("request transfer coding does not end in chunked"),
+            (true, true) => bad("both Transfer-Encoding and Content-Length"),
+        };
     }
-    match head.headers.get("content-length") {
-        Some(_) => match head.headers.content_length() {
-            Some(0) => Ok(BodyLen::None),
-            Some(n) => Ok(BodyLen::Fixed(n)),
-            None => Err(WireError::BadHeader("invalid Content-Length".to_string())),
-        },
+    match headers.content_length() {
+        Some(0) => Ok(BodyLen::None),
+        Some(n) => Ok(BodyLen::Fixed(n)),
+        None if has_length => bad("invalid Content-Length"),
         None => Ok(BodyLen::None),
     }
 }
@@ -140,49 +148,107 @@ pub fn response_body_len(req_method: &Method, head: &ResponseHead) -> BodyLen {
     BodyLen::Close
 }
 
-enum BodyState {
+/// Longest chunk-size line, extension and line ending included.
+const MAX_SIZE_LINE: usize = 1024;
+/// Largest trailer section, final empty line included.
+const MAX_TRAILERS: usize = 8 * 1024;
+/// Most hex digits in a chunk size: any more could overflow a `u64`.
+const MAX_SIZE_DIGITS: u8 = 16;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// The body is complete.
     Done,
-    Fixed {
-        remaining: u64,
-    },
-    /// `in_chunk` holds the unread bytes of the current chunk; `None` means
-    /// we are positioned before the first size line.
-    Chunked {
-        in_chunk: Option<u64>,
-    },
+    /// Payload runs until the peer closes.
     Close,
+    /// `left` payload bytes come next, then the body ends.
+    Fixed,
+    /// `left` bytes of chunk data come next, then [`State::DataCr`].
+    Chunk,
+    /// Expecting the CR, then the LF, after chunk data.
+    DataCr,
+    DataLf,
+    /// Chunk-size digits.
+    Size,
+    /// Whitespace after the chunk-size digits.
+    SizeWs,
+    /// A chunk extension, skipped up to the line's LF.
+    Ext,
+    /// A CR ended the chunk size; only LF may follow.
+    SizeLf,
+    /// At the start of a trailer line or of the empty line ending the body.
+    TrailerStart,
+    /// Inside a trailer field, skipped up to the line's LF.
+    Trailer,
+    /// A CR opened the final empty line; only LF may follow.
+    TrailerLf,
 }
 
-/// The body-framing state machine, decoupled from any particular reader.
+/// The body-framing state machine, shared by the client and the server.
 ///
-/// Each [`read`](BodyFraming::read) call pulls from whatever `BufRead` the
-/// caller hands in, enforcing the message framing and stopping exactly at
-/// the message boundary so the stream stays positioned at the next message
-/// (essential for keep-alive connections). Holding the state *by value*
-/// lets an owner of the underlying stream (e.g. a pooled session wrapped in
-/// a streaming response) drive the framing without a self-referential
-/// borrow; [`BodyReader`] remains the one-shot borrowing convenience.
+/// It never buffers input. It consumes framing bytes (chunk-size lines, the
+/// CRLF after chunk data, trailers) one at a time, so it can stop at any
+/// byte and resume with the next, and it knows how many payload bytes come
+/// next, so the two ways of running it move payload with their own I/O:
+///
+/// * [`read`](BodyFraming::read) pulls from a `BufRead` and reads payload
+///   straight into the caller's buffer (the client);
+/// * [`decode`](BodyFraming::decode) takes bytes already in memory and
+///   appends payload to a `Vec` (the server's read buffer).
+///
+/// Both stop exactly at the message boundary, so the stream stays
+/// positioned at the next message (essential for keep-alive connections).
+/// Holding the state *by value* lets an owner of the underlying stream
+/// (e.g. a pooled session wrapped in a streaming response) drive the
+/// framing without a self-referential borrow; [`BodyReader`] remains the
+/// one-shot borrowing convenience.
+///
+/// # Chunked framing rules
+///
+/// RFC 9112 §7.1, with bounds so a peer cannot make the recipient scan
+/// framing without limit:
+///
+/// * a chunk size is 1 to 16 hex digits: `+5`, ` 5` and `0x5` are rejected;
+/// * SP or HTAB may follow the digits, before `;` or the line end;
+/// * a size line, extension and line ending included, is at most 1024
+///   bytes;
+/// * extension bytes are skipped unparsed, so any byte but LF may appear
+///   after the `;`;
+/// * the trailer section, final empty line included, is at most 8 KiB, and
+///   its fields are skipped unparsed;
+/// * a bare LF may end a size or trailer line, but the bytes after chunk
+///   data must be exactly CRLF.
 pub struct BodyFraming {
-    state: BodyState,
+    state: State,
+    /// The chunk size being read, then the payload bytes left to move.
+    left: u64,
+    /// Hex digits of the chunk size read so far.
+    digits: u8,
+    /// Bytes the current size line or trailer section may still use.
+    budget: usize,
+}
+
+fn bad_chunk(why: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, why)
 }
 
 impl BodyFraming {
     /// Start framing a body of the given length.
     pub fn new(len: BodyLen) -> Self {
-        let state = match len {
-            BodyLen::None => BodyState::Done,
-            BodyLen::Fixed(n) => BodyState::Fixed { remaining: n },
-            BodyLen::Chunked => BodyState::Chunked { in_chunk: None },
-            BodyLen::Close => BodyState::Close,
+        let (state, left) = match len {
+            BodyLen::None | BodyLen::Fixed(0) => (State::Done, 0),
+            BodyLen::Fixed(n) => (State::Fixed, n),
+            BodyLen::Chunked => (State::Size, 0),
+            BodyLen::Close => (State::Close, 0),
         };
-        BodyFraming { state }
+        BodyFraming { state, left, digits: 0, budget: MAX_SIZE_LINE }
     }
 
     /// Whether the body has been fully consumed (the underlying stream is
     /// positioned at the next message). `Close`-delimited bodies only reach
     /// this state once a read observes EOF.
     pub fn is_done(&self) -> bool {
-        matches!(self.state, BodyState::Done)
+        self.state == State::Done
     }
 
     /// Read body bytes from `inner` into `buf`, honouring the framing.
@@ -191,99 +257,135 @@ impl BodyFraming {
         if buf.is_empty() {
             return Ok(0);
         }
-        loop {
-            match &mut self.state {
-                BodyState::Done => return Ok(0),
-                BodyState::Close => {
-                    let n = inner.read(buf)?;
-                    if n == 0 {
-                        self.state = BodyState::Done;
-                    }
-                    return Ok(n);
+        while !self.is_done() {
+            let ahead = self.payload_ahead();
+            if ahead == 0 {
+                let input = inner.fill_buf()?;
+                if input.is_empty() {
+                    return Err(closed_mid_body());
                 }
-                BodyState::Fixed { remaining } => {
-                    if *remaining == 0 {
-                        self.state = BodyState::Done;
-                        return Ok(0);
-                    }
-                    let want = buf.len().min(*remaining as usize);
-                    let n = inner.read(&mut buf[..want])?;
-                    if n == 0 {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "connection closed mid-body",
-                        ));
-                    }
-                    *remaining -= n as u64;
-                    if *remaining == 0 {
-                        self.state = BodyState::Done;
-                    }
-                    return Ok(n);
+                let n = self.scan(input)?;
+                inner.consume(n);
+                continue;
+            }
+            let want = ahead.min(buf.len() as u64) as usize;
+            let n = inner.read(&mut buf[..want])?;
+            if n > 0 {
+                self.payload_moved(n);
+                return Ok(n);
+            }
+            if self.state != State::Close {
+                return Err(closed_mid_body());
+            }
+            self.state = State::Done;
+        }
+        Ok(0)
+    }
+
+    /// Decode as much of `input` as the framing allows, appending payload
+    /// to `body`. Returns the bytes consumed: all of `input`, unless the
+    /// body ends inside it and the rest belongs to the next message. A body
+    /// not yet complete resumes with the next call's `input`.
+    pub fn decode(&mut self, input: &[u8], body: &mut Vec<u8>) -> Result<usize, WireError> {
+        let mut used = 0;
+        while used < input.len() && !self.is_done() {
+            let rest = &input[used..];
+            used += match self.payload_ahead() {
+                0 => self.scan(rest).map_err(wire_error_from_io)?,
+                ahead => {
+                    let n = ahead.min(rest.len() as u64) as usize;
+                    body.extend_from_slice(&rest[..n]);
+                    self.payload_moved(n);
+                    n
                 }
-                BodyState::Chunked { in_chunk } => match *in_chunk {
-                    Some(remaining) if remaining > 0 => {
-                        let want = buf.len().min(remaining as usize);
-                        let n = inner.read(&mut buf[..want])?;
-                        if n == 0 {
-                            return Err(std::io::Error::new(
-                                std::io::ErrorKind::UnexpectedEof,
-                                "connection closed mid-chunk",
-                            ));
-                        }
-                        self.state = BodyState::Chunked { in_chunk: Some(remaining - n as u64) };
-                        return Ok(n);
-                    }
-                    at_boundary => {
-                        // Consume the CRLF that follows a finished chunk.
-                        if at_boundary == Some(0) {
-                            let mut crlf = [0u8; 2];
-                            inner.read_exact(&mut crlf)?;
-                            if &crlf != b"\r\n" {
-                                return Err(std::io::Error::new(
-                                    std::io::ErrorKind::InvalidData,
-                                    "chunk not followed by CRLF",
-                                ));
-                            }
-                        }
-                        let size = read_chunk_size_line(inner)?;
-                        if size == 0 {
-                            skip_trailers(inner)?;
-                            self.state = BodyState::Done;
-                            return Ok(0);
-                        }
-                        self.state = BodyState::Chunked { in_chunk: Some(size) };
-                    }
-                },
+            };
+        }
+        Ok(used)
+    }
+
+    /// Payload bytes that come next, before any framing byte.
+    fn payload_ahead(&self) -> u64 {
+        match self.state {
+            State::Close => u64::MAX,
+            State::Fixed | State::Chunk => self.left,
+            _ => 0,
+        }
+    }
+
+    /// Record that the caller moved `n` payload bytes.
+    fn payload_moved(&mut self, n: usize) {
+        if matches!(self.state, State::Fixed | State::Chunk) {
+            self.left -= n as u64;
+            if self.left == 0 {
+                self.state = if self.state == State::Chunk { State::DataCr } else { State::Done };
             }
         }
     }
-}
 
-fn read_chunk_size_line<R: BufRead>(inner: &mut R) -> std::io::Result<u64> {
-    let mut budget = 1024usize;
-    let line = read_line(inner, &mut budget).map_err(std::io::Error::from)?.ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "eof before chunk size")
-    })?;
-    let size_part = line.split(';').next().unwrap_or("").trim();
-    u64::from_str_radix(size_part, 16).map_err(|_| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("bad chunk size line {line:?}"),
-        )
-    })
-}
-
-fn skip_trailers<R: BufRead>(inner: &mut R) -> std::io::Result<()> {
-    let mut budget = 8192usize;
-    loop {
-        let line =
-            read_line(inner, &mut budget).map_err(std::io::Error::from)?.ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "eof in trailers")
-            })?;
-        if line.is_empty() {
-            return Ok(());
+    /// Consume framing bytes from the front of `input`, stopping where
+    /// payload starts, where the body ends, or at the end of `input`.
+    /// Returns the bytes consumed.
+    fn scan(&mut self, input: &[u8]) -> std::io::Result<usize> {
+        let mut used = 0;
+        for &b in input {
+            if self.is_done() || self.payload_ahead() > 0 {
+                break;
+            }
+            if !matches!(self.state, State::DataCr | State::DataLf) {
+                self.budget = self.budget.checked_sub(1).ok_or_else(|| {
+                    bad_chunk(match self.state {
+                        State::TrailerStart | State::Trailer | State::TrailerLf => {
+                            "trailer section exceeds 8192 bytes"
+                        }
+                        _ => "chunk size line exceeds 1024 bytes",
+                    })
+                })?;
+            }
+            self.state = self.step(b)?;
+            used += 1;
         }
+        Ok(used)
     }
+
+    /// The state after framing byte `b`.
+    fn step(&mut self, b: u8) -> std::io::Result<State> {
+        use State::*;
+        Ok(match (self.state, b) {
+            (DataCr, b'\r') => DataLf,
+            (DataLf, b'\n') => {
+                (self.digits, self.budget) = (0, MAX_SIZE_LINE);
+                Size
+            }
+            (DataCr | DataLf, _) => return Err(bad_chunk("chunk data not followed by CRLF")),
+            (Size, _) if b.is_ascii_hexdigit() => {
+                if self.digits == MAX_SIZE_DIGITS {
+                    return Err(bad_chunk("chunk size exceeds 16 hex digits"));
+                }
+                let digit = (b as char).to_digit(16).map_or(0, u64::from);
+                (self.left, self.digits) = (self.left << 4 | digit, self.digits + 1);
+                Size
+            }
+            (Size, _) if self.digits == 0 => return Err(bad_chunk("chunk size is not hex")),
+            (Size | SizeWs, b' ' | b'\t') => SizeWs,
+            (Size | SizeWs, b';') => Ext,
+            (Ext, _) if b != b'\n' => Ext,
+            (Size | SizeWs, b'\r') => SizeLf,
+            (Size | SizeWs | Ext | SizeLf, b'\n') if self.left == 0 => {
+                self.budget = MAX_TRAILERS;
+                TrailerStart
+            }
+            (Size | SizeWs | Ext | SizeLf, b'\n') => Chunk,
+            (TrailerStart | TrailerLf, b'\n') => Done,
+            (TrailerStart, b'\r') => TrailerLf,
+            (Trailer, b'\n') => TrailerStart,
+            (TrailerStart | Trailer, _) => Trailer,
+            _ => return Err(bad_chunk("invalid byte in chunk size line or trailers")),
+        })
+    }
+}
+
+fn closed_mid_body() -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "connection closed mid-body")
 }
 
 /// Convert a framing-read error into the corresponding [`WireError`].
@@ -476,15 +578,26 @@ mod tests {
 
     #[test]
     fn body_len_rules_for_requests() {
-        let mut r = RequestHead::new(Method::Put, "/x");
-        assert_eq!(request_body_len(&r).unwrap(), BodyLen::None);
-        r.headers.set("Content-Length", "5");
-        assert_eq!(request_body_len(&r).unwrap(), BodyLen::Fixed(5));
-        r.headers.set("Content-Length", "bogus");
-        assert!(request_body_len(&r).is_err());
-        r.headers.remove("Content-Length");
-        r.headers.set("Transfer-Encoding", "chunked");
-        assert_eq!(request_body_len(&r).unwrap(), BodyLen::Chunked);
+        let mk = |fields: &[(&str, &str)]| {
+            let mut r = RequestHead::new(Method::Put, "/x");
+            for (name, value) in fields {
+                r.headers.append(name, *value);
+            }
+            request_body_len(&r)
+        };
+        let (cl, te) = ("Content-Length", "Transfer-Encoding");
+        assert_eq!(mk(&[]).unwrap(), BodyLen::None);
+        assert_eq!(mk(&[(cl, "5")]).unwrap(), BodyLen::Fixed(5));
+        assert_eq!(mk(&[(cl, "5"), (cl, "5")]).unwrap(), BodyLen::Fixed(5));
+        assert_eq!(mk(&[(cl, "5, 5")]).unwrap(), BodyLen::Fixed(5));
+        assert!(mk(&[(cl, "bogus")]).is_err());
+        assert!(mk(&[(cl, "5"), (cl, "6")]).is_err());
+        assert!(mk(&[(cl, "5, 6")]).is_err());
+        assert_eq!(mk(&[(te, "chunked")]).unwrap(), BodyLen::Chunked);
+        assert_eq!(mk(&[(te, "gzip"), (te, "chunked")]).unwrap(), BodyLen::Chunked);
+        assert!(mk(&[(te, "gzip")]).is_err());
+        assert!(mk(&[(te, "chunked"), (te, "gzip")]).is_err());
+        assert!(mk(&[(te, "chunked"), (cl, "5")]).is_err());
     }
 
     #[test]
@@ -531,8 +644,13 @@ mod tests {
 
     #[test]
     fn chunked_bad_size_is_error() {
-        let mut c = Cursor::new(b"zz\r\nhello\r\n0\r\n\r\n".to_vec());
-        assert!(BodyReader::new(&mut c, BodyLen::Chunked).read_all().is_err());
+        let long_line = [b"5;".as_slice(), &[b'a'; 2000], b"\r\nhello\r\n0\r\n\r\n"].concat();
+        for (wire, why) in
+            [(&b"zz\r\nhello\r\n0\r\n\r\n"[..], "not hex"), (&long_line, "1024 bytes")]
+        {
+            let err = BodyReader::new(&mut Cursor::new(wire), BodyLen::Chunked).read_all();
+            assert!(matches!(&err, Err(WireError::BadChunk(m)) if m.contains(why)), "{err:?}");
+        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Property-based tests for the HTTP wire formats: every serializer/parser
-//! pair must round-trip arbitrary valid inputs, and the range algebra must
-//! preserve coverage.
+//! pair must round-trip arbitrary valid inputs, the range algebra must
+//! preserve coverage, and the client and server body decoding must agree.
 
-use httpwire::parse::{read_request_head, read_response_head, BodyLen, BodyReader, ChunkedWriter};
+use httpwire::parse::{
+    read_request_head, read_response_head, BodyFraming, BodyLen, BodyReader, ChunkedWriter,
+};
 use httpwire::range::{coalesce_fragments, format_range_header, parse_range_header};
-use httpwire::{ContentRange, HeaderMap, Method, RequestHead, ResponseHead, StatusCode};
+use httpwire::{ContentRange, HeaderMap, Method, RequestHead, ResponseHead, StatusCode, WireError};
 use proptest::prelude::*;
 use std::io::{Cursor, Write};
 
@@ -15,6 +17,87 @@ fn header_name() -> impl Strategy<Value = String> {
 fn header_value() -> impl Strategy<Value = String> {
     // Visible ASCII without leading/trailing spaces (we trim on parse).
     "[!-~][ -~]{0,40}".prop_map(|s| s.trim().to_string())
+}
+
+/// How a chunked body decode ended.
+#[derive(Debug, PartialEq)]
+enum Verdict {
+    /// The body completed: its payload, and the bytes after it.
+    Complete(Vec<u8>, Vec<u8>),
+    /// The input ran out before the body completed.
+    Incomplete,
+    /// The framing was rejected.
+    Rejected,
+}
+
+/// Decode the way the client does: `BodyReader` over a `BufRead`.
+fn client_verdict(wire: &[u8]) -> Verdict {
+    let mut c = Cursor::new(wire);
+    match BodyReader::new(&mut c, BodyLen::Chunked).read_all() {
+        Ok(body) => Verdict::Complete(body, wire[c.position() as usize..].to_vec()),
+        Err(WireError::UnexpectedEof) => Verdict::Incomplete,
+        Err(_) => Verdict::Rejected,
+    }
+}
+
+/// Decode the way the server does: append each arriving piece to a read
+/// buffer, decode what the buffer holds, drain what was consumed.
+fn server_verdict<'a>(pieces: impl IntoIterator<Item = &'a [u8]>) -> Verdict {
+    let mut framing = BodyFraming::new(BodyLen::Chunked);
+    let (mut rbuf, mut body) = (Vec::new(), Vec::new());
+    let mut pieces = pieces.into_iter();
+    loop {
+        match framing.decode(&rbuf, &mut body) {
+            Ok(used) => drop(rbuf.drain(..used)),
+            Err(_) => return Verdict::Rejected,
+        }
+        if framing.is_done() {
+            rbuf.extend(pieces.flatten());
+            return Verdict::Complete(body, rbuf);
+        }
+        match pieces.next() {
+            Some(piece) => rbuf.extend_from_slice(piece),
+            None => return Verdict::Incomplete,
+        }
+    }
+}
+
+/// A chunked message in varied valid framing (size-line suffixes, bare-LF
+/// line ends, trailers) followed by the start of the next message, then
+/// damaged by zero to three byte overwrites and an optional truncation.
+fn chunked_message() -> impl Strategy<Value = Vec<u8>> {
+    (
+        proptest::collection::vec(
+            (proptest::collection::vec(any::<u8>(), 1..40), 0usize..4, any::<bool>()),
+            0..5,
+        ),
+        proptest::collection::vec("[A-Za-z-]{1,8}: [ -~]{0,12}", 0..3),
+        proptest::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+        proptest::option::of(any::<usize>()),
+    )
+        .prop_map(|(chunks, trailers, overwrites, cut)| {
+            let suffixes = ["", " ", ";ext=1", "\t; q=\"x\""];
+            let mut wire = Vec::new();
+            for (data, suffix, bare_lf) in &chunks {
+                let eol = if *bare_lf { "\n" } else { "\r\n" };
+                wire.extend(format!("{:x}{}{eol}", data.len(), suffixes[*suffix]).bytes());
+                wire.extend_from_slice(data);
+                wire.extend_from_slice(b"\r\n");
+            }
+            wire.extend_from_slice(b"0\r\n");
+            for t in &trailers {
+                wire.extend(format!("{t}\r\n").bytes());
+            }
+            wire.extend_from_slice(b"\r\nNEXT");
+            for (at, byte) in overwrites {
+                let at = at % wire.len();
+                wire[at] = byte;
+            }
+            if let Some(cut) = cut {
+                wire.truncate(cut % (wire.len() + 1));
+            }
+            wire
+        })
 }
 
 proptest! {
@@ -54,10 +137,11 @@ proptest! {
         prop_assert_eq!(parsed.headers.len(), head.headers.len());
     }
 
-    /// Chunked bodies round-trip regardless of how writes are split.
+    /// Chunked bodies round-trip regardless of how writes are split, and
+    /// of how the wire arrives: whole, one byte at a time, or in two pieces.
     #[test]
     fn chunked_roundtrips(chunks in proptest::collection::vec(
-        proptest::collection::vec(any::<u8>(), 0..300), 0..12)
+        proptest::collection::vec(any::<u8>(), 0..300), 0..12), split in any::<usize>()
     ) {
         let mut wire = Vec::new();
         {
@@ -67,10 +151,22 @@ proptest! {
             }
             w.finish().unwrap();
         }
-        let mut c = Cursor::new(wire);
+        let mut c = Cursor::new(&wire);
         let body = BodyReader::new(&mut c, BodyLen::Chunked).read_all().unwrap();
         let expect: Vec<u8> = chunks.concat();
-        prop_assert_eq!(body, expect);
+        prop_assert_eq!(&body, &expect);
+        let complete = Verdict::Complete(expect, Vec::new());
+        prop_assert_eq!(&server_verdict(wire.chunks(1)), &complete);
+        let (head, tail) = wire.split_at(split % (wire.len() + 1));
+        prop_assert_eq!(&server_verdict([head, tail]), &complete);
+    }
+
+    /// The server's buffered decode and the client's `BodyReader` reach
+    /// the same verdict, payload and leftover bytes on valid and damaged
+    /// messages, however the server's input is split.
+    #[test]
+    fn chunked_decoders_agree(wire in chunked_message(), piece in 1usize..64) {
+        prop_assert_eq!(server_verdict(wire.chunks(piece)), client_verdict(&wire));
     }
 
     /// Range headers round-trip through format → parse → resolve.

@@ -566,14 +566,11 @@ fn retry_policy_is_pinned_per_entry_point_and_failure_shape() {
         (Pread, BudgetExhausted, counts(3, 3, 2, 0, 0, false)),
         (PreadVec, Head5xx, counts(2, 2, 1, 0, 0, true)),
         (PreadVec, ResetBeforeHead, counts(2, 2, 1, 0, 0, true)),
-        // A reset inside a multipart part surfaces from `MultipartReader` as
-        // `UnexpectedEof`, a protocol fault, so it is not retried (a known
-        // gap, listed in ROADMAP.md).
-        (PreadVec, ResetMidBody, counts(1, 1, 0, 0, 0, false)),
+        (PreadVec, ResetMidBody, counts(2, 2, 1, 0, 0, true)),
         (PreadVec, StaleSession, counts(2, 3, 0, 0, 0, true)),
         (PreadVec, RedirectThen5xx, counts(3, 3, 1, 0, 1, true)),
-        (PreadVec, RedirectThenMidBody, counts(2, 2, 0, 0, 1, false)),
-        (PreadVec, BudgetExhausted, counts(2, 2, 1, 0, 0, false)),
+        (PreadVec, RedirectThenMidBody, counts(4, 4, 1, 0, 2, true)),
+        (PreadVec, BudgetExhausted, counts(3, 3, 2, 0, 0, false)),
     ];
     let mut mismatches = Vec::new();
     for (entry, shape, want) in table {
