@@ -16,7 +16,10 @@
 //! * `davix pool` — 8 worker threads dispatching through the session pool.
 //!
 //! Metrics: total completion time and the mean completion time of the
-//! *small* requests (where HOL blocking hurts).
+//! *small* requests (where HOL blocking hurts). The harness *asserts* the
+//! claim on every link — the pool's total beats serial keep-alive and its
+//! mean small-request latency beats in-order pipelining — so a regression
+//! (or a pool run whose clock overran) exits non-zero in CI.
 //!
 //! CI smoke knobs: `DAVIX_BENCH_SMALL_OBJECTS` (count of small objects,
 //! default 63) and `DAVIX_BENCH_BIG_KIB` (big-object size in KiB, default
@@ -103,6 +106,9 @@ fn run_pool(link: LinkSpec, workers: usize) -> (Duration, Duration) {
     let done = net.runtime().signal();
     let live = Arc::new(Mutex::new(workers));
     let t0 = Duration::ZERO;
+    // Register before spawning: once the workers finish, the clock must not
+    // run on to the servers' idle deadlines before `now()` is read.
+    let _g = net.enter();
     for w in 0..workers {
         let net2 = net.clone();
         let client = client.clone();
@@ -127,7 +133,6 @@ fn run_pool(link: LinkSpec, workers: usize) -> (Duration, Duration) {
             }
         });
     }
-    let _g = net.enter();
     done.wait(None);
     let smalls = small_done.lock().clone();
     (net.now() - t0, mean_dur(&smalls))
@@ -154,28 +159,43 @@ fn main() {
         "workload",
         format!("1 x {} KiB + {} x {} KiB", big() / 1024, n_small(), SMALL / 1024),
     );
+    let mut claims = Vec::new();
     for (key, name, link) in
         [("lan", "LAN (2.5 ms RTT)", LinkSpec::lan()), ("wan", "WAN (150 ms RTT)", LinkSpec::wan())]
     {
         let mut table = Table::new(&["strategy", "total (s)", "mean small latency (ms)"]);
-        let (t, s) = run_serial(link);
-        table.row(vec!["serial keep-alive".into(), secs(t), millis(s)]);
-        report.metric(&format!("{key}.serial.total_s"), t.as_secs_f64());
-        let (t, s) = run_pipelined(link);
-        table.row(vec!["pipelined (in-order)".into(), secs(t), millis(s)]);
+        let (serial_total, s) = run_serial(link);
+        table.row(vec!["serial keep-alive".into(), secs(serial_total), millis(s)]);
+        report.metric(&format!("{key}.serial.total_s"), serial_total.as_secs_f64());
+        let (t, pipelined_small) = run_pipelined(link);
+        table.row(vec!["pipelined (in-order)".into(), secs(t), millis(pipelined_small)]);
         report.metric(&format!("{key}.pipelined.total_s"), t.as_secs_f64());
-        report.metric_ms(&format!("{key}.pipelined.small_mean_ms"), s);
+        report.metric_ms(&format!("{key}.pipelined.small_mean_ms"), pipelined_small);
         let (t, s) = run_pipelined(link.with_nagle());
         table.row(vec!["pipelined + nagle".into(), secs(t), millis(s)]);
         report.metric(&format!("{key}.pipelined_nagle.total_s"), t.as_secs_f64());
-        let (t, s) = run_pool(link, 8);
-        table.row(vec!["davix pool (8 conns)".into(), secs(t), millis(s)]);
-        report.metric(&format!("{key}.pool.total_s"), t.as_secs_f64());
-        report.metric_ms(&format!("{key}.pool.small_mean_ms"), s);
+        let (pool_total, pool_small) = run_pool(link, 8);
+        table.row(vec!["davix pool (8 conns)".into(), secs(pool_total), millis(pool_small)]);
+        report.metric(&format!("{key}.pool.total_s"), pool_total.as_secs_f64());
+        report.metric_ms(&format!("{key}.pool.small_mean_ms"), pool_small);
         println!("--- {name} ---");
         table.print();
         println!();
         report.table(key, &table);
+        claims.push((name, serial_total, pipelined_small, pool_total, pool_small));
+    }
+    report.write();
+
+    for (name, serial_total, pipelined_small, pool_total, pool_small) in claims {
+        assert!(
+            pool_total < serial_total,
+            "{name}: pool total ({pool_total:?}) must beat serial keep-alive ({serial_total:?})"
+        );
+        assert!(
+            pool_small < pipelined_small,
+            "{name}: pool small-request latency ({pool_small:?}) must beat in-order \
+             pipelining ({pipelined_small:?})"
+        );
     }
     println!(
         "claim check: pipelining's total is fine but its small-request latency is\n\
@@ -183,5 +203,4 @@ fn main() {
          small responses fast AND beats serial totals. This is why davix uses a\n\
          dynamic connection pool instead of pipelining (§2.2, Figures 1-2)."
     );
-    report.write();
 }

@@ -3,93 +3,124 @@
 
 use davix_sync::{race, AtomicBool, AtomicU64, CheckedCell, Ordering};
 
-/// Atomic counters shared by all components of one client.
-#[derive(Debug, Default)]
-pub struct Metrics {
+/// Declares every client counter once and generates [`Metrics`],
+/// [`Metrics::snapshot`], [`MetricsSnapshot`] and [`MetricsSnapshot::since`]
+/// from that list. A `count` entry is a plain counter, which `since`
+/// differences; a `peak` entry is a high-water gauge, which `since` keeps
+/// as-is.
+macro_rules! metrics {
+    (@since count, $now:expr, $earlier:expr) => { $now - $earlier };
+    (@since peak, $now:expr, $earlier:expr) => { $now };
+    ($($(#[doc = $doc:literal])* $kind:ident $name:ident,)+) => {
+        /// Atomic counters shared by all components of one client.
+        #[derive(Debug, Default)]
+        pub struct Metrics {
+            $($(#[doc = $doc])* pub $name: AtomicU64,)+
+            /// The deliberately-broken counter behind `davix-simfuzz --canary
+            /// unsync-metric`: a plain (non-atomic) cell bumped from both the
+            /// upload driver and the pool workers with **no** synchronization edge
+            /// between those bumps — exactly the bug the `race-detect` feature
+            /// exists to catch. Dormant unless [`Metrics::set_unsync_canary`] turns
+            /// it on *and* the detector is compiled in.
+            pub unsync_canary: CheckedCell<u64>,
+            /// Runtime switch for the canary bumps. `Relaxed` on purpose: the
+            /// switch itself must not smuggle in a happens-before edge that would
+            /// order the racing bumps.
+            unsync_canary_on: AtomicBool,
+        }
+
+        impl Metrics {
+            /// Plain-value copy of all counters.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot { $($name: self.$name.load(Ordering::Relaxed)),+ }
+            }
+        }
+
+        /// Value snapshot of [`Metrics`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $($(#[doc = $doc])* pub $name: u64,)+
+        }
+
+        impl MetricsSnapshot {
+            /// Counter-wise difference against an earlier snapshot.
+            /// High-water gauges (`peak_*`) are not counters: the newer
+            /// snapshot's value is kept as-is.
+            pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot { $($name: metrics!(@since $kind, self.$name, earlier.$name)),+ }
+            }
+        }
+    };
+}
+
+metrics! {
     /// HTTP requests written to the wire (including retries and redirects).
-    pub requests: AtomicU64,
+    count requests,
     /// Requests that were retried after a failure.
-    pub retries: AtomicU64,
+    count retries,
     /// Redirect hops followed.
-    pub redirects: AtomicU64,
+    count redirects,
     /// New TCP sessions established.
-    pub sessions_created: AtomicU64,
+    count sessions_created,
     /// Sessions checked out from the idle pool (recycled).
-    pub sessions_reused: AtomicU64,
+    count sessions_reused,
     /// Idle sessions dropped (TTL or pool overflow).
-    pub sessions_discarded: AtomicU64,
+    count sessions_discarded,
     /// Response body bytes received.
-    pub bytes_in: AtomicU64,
+    count bytes_in,
     /// Request bytes sent (heads + bodies).
-    pub bytes_out: AtomicU64,
+    count bytes_out,
     /// Body bytes delivered through [`ResponseStream`](crate::ResponseStream)
     /// reads (every response body flows through here, including the
     /// collect-to-`Vec` path of [`HttpExecutor::execute`](crate::HttpExecutor::execute)).
-    pub bytes_streamed: AtomicU64,
+    count bytes_streamed,
     /// High-water mark of any single collected body buffer, in bytes.
     /// Stays 0 while every consumer streams — the Fig. 2/3 benches use this
     /// to show the read path allocates nothing proportional to the body.
-    pub peak_body_buffer: AtomicU64,
+    peak peak_body_buffer,
     /// Multi-range (vectored) GETs issued.
-    pub vectored_requests: AtomicU64,
+    count vectored_requests,
     /// Vectored reads that had to fall back to per-fragment requests.
-    pub vector_fallbacks: AtomicU64,
+    count vector_fallbacks,
     /// Range requests a server answered with `200` + the full entity
     /// instead of `206` (the client then reads only the requested window).
-    pub range_downgrades: AtomicU64,
+    count range_downgrades,
     /// Metalink documents fetched.
-    pub metalinks_fetched: AtomicU64,
+    count metalinks_fetched,
     /// Replica fail-overs performed.
-    pub failovers: AtomicU64,
+    count failovers,
     /// Replicas blacklisted by the scheduler (consecutive-failure eviction).
-    pub replicas_blacklisted: AtomicU64,
+    count replicas_blacklisted,
     /// Active `OPTIONS` health probes sent to replicas.
-    pub replica_probes: AtomicU64,
+    count replica_probes,
     /// Multistream workers that switched to another replica after theirs
     /// failed (instead of dying and shrinking the stream pool).
-    pub streams_respawned: AtomicU64,
+    count streams_respawned,
     /// Block-cache reads served from memory (no upstream request), including
     /// reads that joined another caller's in-flight fetch.
-    pub cache_hits: AtomicU64,
+    count cache_hits,
     /// Block-cache blocks that had to be fetched upstream.
-    pub cache_misses: AtomicU64,
+    count cache_misses,
     /// Bytes landed in the block cache by background read-ahead/prefetch.
-    pub bytes_prefetched: AtomicU64,
+    count bytes_prefetched,
     /// Readers that parked on another caller's in-flight block fetch
     /// instead of issuing a duplicate request (single-flight dedup).
-    pub singleflight_waits: AtomicU64,
+    count singleflight_waits,
     /// Request-body payload bytes written to the wire by uploads
     /// (streaming bodies and buffered `PUT`s; retried bodies count every
     /// transmission). Protocol chatter with a body — PROPFIND XML,
     /// multipart-complete documents — is not an upload and is excluded.
-    pub bytes_uploaded: AtomicU64,
+    count bytes_uploaded,
     /// Chunks committed by [`multistream_upload`](crate::multistream_upload)
     /// workers (successful segment/part PUTs, not counting retries).
-    pub chunks_uploaded: AtomicU64,
+    count chunks_uploaded,
     /// Upload exchanges that were retried after a failure (5xx or a
     /// transport fault with the body partially sent).
-    pub upload_retries: AtomicU64,
+    count upload_retries,
     /// High-water mark of chunk payload resident in upload buffers, in
     /// bytes. Bounded by `upload_chunk_size × upload_streams` — the write
     /// path never buffers the whole object.
-    pub peak_upload_buffer: AtomicU64,
-    /// The deliberately-broken counter behind `davix-simfuzz --canary
-    /// unsync-metric`: a plain (non-atomic) cell bumped from both the
-    /// upload driver and the pool workers with **no** synchronization edge
-    /// between those bumps — exactly the bug the `race-detect` feature
-    /// exists to catch. Dormant unless [`Metrics::set_unsync_canary`] turns
-    /// it on *and* the detector is compiled in.
-    pub unsync_canary: CheckedCell<u64>,
-    /// Runtime switch for the canary bumps. `Relaxed` on purpose: the
-    /// switch itself must not smuggle in a happens-before edge that would
-    /// order the racing bumps.
-    unsync_canary_on: AtomicBool,
-}
-
-macro_rules! snapshot_fields {
-    ($self:ident, $($f:ident),+ $(,)?) => {
-        MetricsSnapshot { $($f: $self.$f.load(Ordering::Relaxed)),+ }
-    };
+    peak peak_upload_buffer,
 }
 
 impl Metrics {
@@ -128,108 +159,9 @@ impl Metrics {
             self.unsync_canary.set(1);
         }
     }
-
-    /// Plain-value copy of all counters.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        snapshot_fields!(
-            self,
-            requests,
-            retries,
-            redirects,
-            sessions_created,
-            sessions_reused,
-            sessions_discarded,
-            bytes_in,
-            bytes_out,
-            bytes_streamed,
-            peak_body_buffer,
-            vectored_requests,
-            vector_fallbacks,
-            range_downgrades,
-            metalinks_fetched,
-            failovers,
-            replicas_blacklisted,
-            replica_probes,
-            streams_respawned,
-            cache_hits,
-            cache_misses,
-            bytes_prefetched,
-            singleflight_waits,
-            bytes_uploaded,
-            chunks_uploaded,
-            upload_retries,
-            peak_upload_buffer,
-        )
-    }
-}
-
-/// Value snapshot of [`Metrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct MetricsSnapshot {
-    pub requests: u64,
-    pub retries: u64,
-    pub redirects: u64,
-    pub sessions_created: u64,
-    pub sessions_reused: u64,
-    pub sessions_discarded: u64,
-    pub bytes_in: u64,
-    pub bytes_out: u64,
-    pub bytes_streamed: u64,
-    pub peak_body_buffer: u64,
-    pub vectored_requests: u64,
-    pub vector_fallbacks: u64,
-    pub range_downgrades: u64,
-    pub metalinks_fetched: u64,
-    pub failovers: u64,
-    pub replicas_blacklisted: u64,
-    pub replica_probes: u64,
-    pub streams_respawned: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub bytes_prefetched: u64,
-    pub singleflight_waits: u64,
-    pub bytes_uploaded: u64,
-    pub chunks_uploaded: u64,
-    pub upload_retries: u64,
-    pub peak_upload_buffer: u64,
 }
 
 impl MetricsSnapshot {
-    /// Counter-wise difference against an earlier snapshot.
-    /// `peak_body_buffer` and `peak_upload_buffer` are high-water marks,
-    /// not counters: the newer snapshot's value is kept as-is.
-    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            requests: self.requests - earlier.requests,
-            retries: self.retries - earlier.retries,
-            redirects: self.redirects - earlier.redirects,
-            sessions_created: self.sessions_created - earlier.sessions_created,
-            sessions_reused: self.sessions_reused - earlier.sessions_reused,
-            sessions_discarded: self.sessions_discarded - earlier.sessions_discarded,
-            bytes_in: self.bytes_in - earlier.bytes_in,
-            bytes_out: self.bytes_out - earlier.bytes_out,
-            bytes_streamed: self.bytes_streamed - earlier.bytes_streamed,
-            peak_body_buffer: self.peak_body_buffer,
-            vectored_requests: self.vectored_requests - earlier.vectored_requests,
-            vector_fallbacks: self.vector_fallbacks - earlier.vector_fallbacks,
-            range_downgrades: self.range_downgrades - earlier.range_downgrades,
-            metalinks_fetched: self.metalinks_fetched - earlier.metalinks_fetched,
-            failovers: self.failovers - earlier.failovers,
-            replicas_blacklisted: self.replicas_blacklisted - earlier.replicas_blacklisted,
-            replica_probes: self.replica_probes - earlier.replica_probes,
-            streams_respawned: self.streams_respawned - earlier.streams_respawned,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            cache_misses: self.cache_misses - earlier.cache_misses,
-            bytes_prefetched: self.bytes_prefetched - earlier.bytes_prefetched,
-            singleflight_waits: self.singleflight_waits - earlier.singleflight_waits,
-            bytes_uploaded: self.bytes_uploaded - earlier.bytes_uploaded,
-            chunks_uploaded: self.chunks_uploaded - earlier.chunks_uploaded,
-            upload_retries: self.upload_retries - earlier.upload_retries,
-            peak_upload_buffer: self.peak_upload_buffer,
-        }
-    }
-
     /// Fraction of cache lookups served from memory.
     pub fn cache_hit_ratio(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
@@ -260,6 +192,7 @@ mod tests {
         let m = Metrics::default();
         Metrics::bump(&m.requests);
         Metrics::add(&m.bytes_in, 100);
+        Metrics::record_max(&m.peak_upload_buffer, 64);
         let a = m.snapshot();
         assert_eq!(a.requests, 1);
         assert_eq!(a.bytes_in, 100);
@@ -267,6 +200,8 @@ mod tests {
         let d = m.snapshot().since(&a);
         assert_eq!(d.requests, 1);
         assert_eq!(d.bytes_in, 0);
+        // High-water gauges are kept as-is, not differenced.
+        assert_eq!(d.peak_upload_buffer, 64);
     }
 
     #[test]

@@ -40,9 +40,12 @@
 //!   poisons the net and every parked thread panics with a census dump —
 //!   unless all waiters are sim-spawned daemons idle in `accept`/`Signal`
 //!   waits, which is ordinary quiescence (servers outliving their scenario).
-//! * **Clock hand-off.** When the last [`SimNet`] handle drops, the clock
-//!   thread retires and surviving daemon threads drive the clock themselves
-//!   from their park loops, so a scenario's servers still wind down cleanly.
+//! * **Clock lifetime.** Every handle that can park on the net holds a
+//!   [`SimNet`]: streams, listeners, signals, [`SimNet::enter`] guards and
+//!   [`SimNet::spawn`]ed threads, as well as the clones a caller keeps. The
+//!   clock thread retires when the last of them drops: only then can no
+//!   thread wait on the net again. So a scenario's daemons still wind down
+//!   cleanly after the scenario drops its own `SimNet`.
 //!
 //! ## What is deliberately not modelled
 //!
@@ -445,12 +448,9 @@ struct State {
     /// parks (or is parked) panics with `stall_dump`.
     stalled: bool,
     stall_dump: String,
-    /// Set when the last `SimNet` handle drops; tells the clock thread to
-    /// retire.
+    /// Set when the last handle that can park on the net drops (see
+    /// `SimCore::net_handles`); tells the clock thread to retire.
     shutdown: bool,
-    /// The clock thread has retired (shutdown or stall); parked waiters
-    /// self-drive the clock from their park loops.
-    clock_dead: bool,
     /// Virtual-time event trace, recorded while `Some` (see
     /// [`SimNet::record_trace`]).
     trace: Option<Vec<(u64, String)>>,
@@ -937,7 +937,9 @@ struct SimCore {
     state: Mutex<State>,
     /// The clock thread's own park token.
     clock_cv: Condvar,
-    /// Live `SimNet` handles; the clock thread retires when this hits zero.
+    /// Live [`SimNet`] values, counting the one inside every handle that can
+    /// park on the net (see "Clock lifetime" in the module docs); the clock
+    /// thread retires when this hits zero.
     net_handles: AtomicUsize,
 }
 
@@ -993,16 +995,7 @@ impl SimCore {
     /// Nudge the clock owner when the net may have just become quiescent (or
     /// gained events while quiescent). Cheap no-op otherwise.
     fn kick_clock(&self, st: &State) {
-        if !st.quiescent() {
-            return;
-        }
-        if st.clock_dead {
-            // No clock thread: nudge one parked (not-yet-ready) waiter to
-            // self-drive from its park loop.
-            if let Some((_, w)) = st.waiters.iter().find(|(_, w)| !w.ready) {
-                w.cv.notify_one();
-            }
-        } else {
+        if st.quiescent() {
             self.clock_cv.notify_one();
         }
     }
@@ -1055,63 +1048,17 @@ impl SimCore {
                 st.unindex(kind, wid);
                 return if timed_out { WaitOutcome::TimedOut } else { WaitOutcome::Ready };
             }
-            if st.clock_dead {
-                self.drive_fallback(st, &cv);
-                continue;
-            }
             self.kick_clock(st);
             cv.wait(st);
         }
     }
 
-    /// Self-drive the clock from a parked waiter once the dedicated clock
-    /// thread has retired (all `SimNet` handles dropped): surviving daemon
-    /// threads keep making progress, old-engine style.
-    fn drive_fallback(&self, st: &mut MutexGuard<'_, State>, cv: &Arc<Condvar>) {
-        if !st.quiescent() {
-            cv.wait(st);
-            return;
-        }
-        if !st.events.is_empty() {
-            st.advance();
-            self.flush_wakes(st);
-            return;
-        }
-        let tick = st.change_tick;
-        let timed_out = cv.wait_for(st, STALL_TIMEOUT).timed_out();
-        if !(timed_out && st.change_tick == tick) {
-            return;
-        }
-        if !st.quiescent() || !st.events.is_empty() {
-            return;
-        }
-        if st.all_idle_daemons() {
-            if !st.idle_noted {
-                st.idle_noted = true;
-                eprintln!(
-                    "netsim: all registered threads are server daemons idle in accept/signal \
-                     waits with no scheduled events; treating as quiescent (servers outliving \
-                     their scenario)."
-                );
-            }
-            return;
-        }
-        st.stall_dump = st.dump();
-        st.stalled = true;
-        for (_, w) in st.waiters.iter() {
-            w.cv.notify_one();
-        }
-        // The caller's loop sees `stalled` and panics with the dump.
-    }
-
     /// The dedicated clock thread: the sole owner of virtual-time
-    /// advancement while any `SimNet` handle is alive.
+    /// advancement. It retires on `shutdown`, once no handle can park on the
+    /// net, or after poisoning a stalled net.
     fn clock_main(core: Arc<SimCore>) {
         let mut st = core.state.lock();
-        loop {
-            if st.shutdown {
-                break;
-            }
+        while !st.shutdown {
             if !st.quiescent() {
                 core.clock_cv.wait(&mut st);
                 continue;
@@ -1127,9 +1074,8 @@ impl SimCore {
             // changed over the whole window.
             let tick = st.change_tick;
             let timed_out = core.clock_cv.wait_for(&mut st, STALL_TIMEOUT).timed_out();
-            if st.shutdown {
-                break;
-            }
+            // A shutdown bumps `change_tick`, so it takes this `continue`
+            // and ends the loop.
             if !(timed_out && st.change_tick == tick) {
                 continue;
             }
@@ -1159,18 +1105,10 @@ impl SimCore {
             // unusable either way.
             st.stall_dump = st.dump();
             st.stalled = true;
-            st.clock_dead = true;
             for (_, w) in st.waiters.iter() {
                 w.cv.notify_one();
             }
             return;
-        }
-        // Last SimNet handle dropped: hand the clock to the surviving
-        // waiters (sim daemons can outlive the net handle); they self-drive
-        // via the `clock_dead` fallback in `wait_on`.
-        st.clock_dead = true;
-        for (_, w) in st.waiters.iter() {
-            w.cv.notify_one();
         }
     }
 }
@@ -1180,6 +1118,7 @@ impl SimCore {
 // ---------------------------------------------------------------------------
 
 /// Handle to a simulated network. Cheap to clone.
+#[derive(Debug)]
 pub struct SimNet {
     core: Arc<SimCore>,
 }
@@ -1240,7 +1179,6 @@ impl SimNet {
                 stalled: false,
                 stall_dump: String::new(),
                 shutdown: false,
-                clock_dead: false,
                 trace: None,
                 fault: None,
                 sched_parks: 0,
@@ -1460,27 +1398,27 @@ impl SimNet {
         }
         // Spawn is a happens-before edge: the child adopts the parent's
         // vector clock as of the fork point (no-op without race-detect).
-        // Joins need no twin hook — a sim thread's last act is releasing
-        // the state lock in `Dereg`, which any joiner reacquires.
+        // Joins need no twin hook — a sim thread ends by releasing the
+        // state lock in `Dereg`, which any joiner reacquires.
         let pkt = davix_sync::race::fork_packet();
-        let core = Arc::clone(&self.core);
+        let net = self.clone();
         std::thread::Builder::new()
             .name(name.to_string())
             .spawn(move || {
                 davix_sync::race::adopt_packet(&pkt);
-                let id = core.core_id();
+                let id = net.core.core_id();
                 IN_SIM.with(|c| c.set(id));
                 SIM_DAEMON.with(|c| c.set(id));
-                struct Dereg(Arc<SimCore>);
+                struct Dereg(SimNet);
                 impl Drop for Dereg {
                     fn drop(&mut self) {
-                        let mut st = self.0.state.lock();
+                        let mut st = self.0.core.state.lock();
                         st.registered -= 1;
                         st.change_tick += 1;
-                        self.0.kick_clock(&st);
+                        self.0.core.kick_clock(&st);
                     }
                 }
-                let _g = Dereg(core);
+                let _g = Dereg(net);
                 f();
             })
             .expect("spawn sim thread");
@@ -1488,7 +1426,9 @@ impl SimNet {
 
     /// Register the *current* thread with the virtual clock for the lifetime
     /// of the returned guard. Use in tests/benches whose main thread talks to
-    /// the network directly.
+    /// the network directly. Register before spawning threads whose progress
+    /// you time: until then the clock may run past their finish while this
+    /// thread is not counted.
     pub fn enter(&self) -> EnterGuard {
         let id = self.core.core_id();
         let prev = IN_SIM.with(|c| c.replace(id));
@@ -1496,7 +1436,7 @@ impl SimNet {
             let mut st = self.core.state.lock();
             st.register_thread();
         }
-        EnterGuard { core: Arc::clone(&self.core), prev }
+        EnterGuard { net: self.clone(), prev }
     }
 
     /// Bind a listener on `host:port`.
@@ -1510,12 +1450,7 @@ impl SimNet {
             ));
         }
         st.listeners.insert((id, port), ListenerState { open: true, backlog: VecDeque::new() });
-        Ok(SimListener {
-            core: Arc::clone(&self.core),
-            host: id,
-            host_name: host.to_string(),
-            port,
-        })
+        Ok(SimListener { net: self.clone(), host: id, host_name: host.to_string(), port })
     }
 
     /// Create the connection record and schedule the handshake events.
@@ -1596,7 +1531,7 @@ impl SimNet {
         }
         drop(st);
         Ok(SimStream {
-            core: Arc::clone(&self.core),
+            net: self.clone(),
             conn: cid,
             side: 0,
             peer: format!("{to_host}:{port}"),
@@ -1626,7 +1561,7 @@ impl SimNet {
         self.core.kick_clock(&st);
         drop(st);
         Ok(SimStream {
-            core: Arc::clone(&self.core),
+            net: self.clone(),
             conn: cid,
             side: 0,
             peer: format!("{to_host}:{port}"),
@@ -1648,18 +1583,18 @@ impl SimNet {
 
 /// Guard returned by [`SimNet::enter`]; deregisters the thread on drop.
 pub struct EnterGuard {
-    core: Arc<SimCore>,
+    net: SimNet,
     prev: usize,
 }
 
 impl Drop for EnterGuard {
     fn drop(&mut self) {
-        if self.prev != self.core.core_id() {
+        if self.prev != self.net.core.core_id() {
             IN_SIM.with(|c| c.set(self.prev));
-            let mut st = self.core.state.lock();
+            let mut st = self.net.core.state.lock();
             st.registered -= 1;
             st.change_tick += 1;
-            self.core.kick_clock(&st);
+            self.net.core.kick_clock(&st);
         }
     }
 }
@@ -1690,7 +1625,7 @@ fn drain_rbuf(d: &mut DirState, buf: &mut [u8]) -> usize {
 /// non-blocking [`Pollable`] surface used by the reactor.
 #[derive(Debug)]
 pub struct SimStream {
-    core: Arc<SimCore>,
+    net: SimNet,
     conn: usize,
     side: usize,
     peer: String,
@@ -1727,7 +1662,7 @@ impl Read for SimStream {
         if buf.is_empty() {
             return Ok(0);
         }
-        let core = Arc::clone(&self.core);
+        let core = Arc::clone(&self.net.core);
         let mut st = core.state.lock();
         let deadline = self.read_timeout.map(|t| st.now_ns + dur_ns(t));
         let dir = 1 - self.side;
@@ -1761,7 +1696,7 @@ impl Write for SimStream {
         if buf.is_empty() {
             return Ok(0);
         }
-        let core = Arc::clone(&self.core);
+        let core = Arc::clone(&self.net.core);
         let mut st = core.state.lock();
         let dir = self.side;
         // The connecting side cannot transmit before the handshake finishes
@@ -1857,7 +1792,7 @@ impl Pollable for SimStream {
         if buf.is_empty() {
             return Ok(0);
         }
-        let core = Arc::clone(&self.core);
+        let core = Arc::clone(&self.net.core);
         let mut st = core.state.lock();
         let dir = 1 - self.side;
         let c = st.conns.get_mut(self.conn).expect("conn alive");
@@ -1881,7 +1816,7 @@ impl Pollable for SimStream {
         if buf.is_empty() {
             return Ok(0);
         }
-        let core = Arc::clone(&self.core);
+        let core = Arc::clone(&self.net.core);
         let mut st = core.state.lock();
         let dir = self.side;
         let (k, from, to, delay_ns, spec) = {
@@ -1936,7 +1871,7 @@ impl Pollable for SimStream {
     }
 
     fn set_waker(&mut self, waker: Option<Arc<dyn Signal>>) -> io::Result<()> {
-        let mut st = self.core.state.lock();
+        let mut st = self.net.core.state.lock();
         match waker {
             Some(w) => {
                 st.io_wakers.insert((self.conn, self.side), w);
@@ -1964,12 +1899,12 @@ impl Stream for SimStream {
     }
 
     fn try_clone(&self) -> io::Result<BoxedStream> {
-        let mut st = self.core.state.lock();
+        let mut st = self.net.core.state.lock();
         if let Some(c) = st.conns.get_mut(self.conn) {
             c.open_handles[self.side] += 1;
         }
         Ok(Box::new(SimStream {
-            core: Arc::clone(&self.core),
+            net: self.net.clone(),
             conn: self.conn,
             side: self.side,
             peer: self.peer.clone(),
@@ -1979,7 +1914,7 @@ impl Stream for SimStream {
     }
 
     fn shutdown_write(&mut self) -> io::Result<()> {
-        let core = Arc::clone(&self.core);
+        let core = Arc::clone(&self.net.core);
         let mut st = core.state.lock();
         SimStream::send_fin_locked(&mut st, self.conn, self.side);
         core.kick_clock(&st);
@@ -1989,7 +1924,7 @@ impl Stream for SimStream {
 
 impl Drop for SimStream {
     fn drop(&mut self) {
-        let core = Arc::clone(&self.core);
+        let core = Arc::clone(&self.net.core);
         let mut st = core.state.lock();
         if self.waker_set {
             st.io_wakers.remove(&(self.conn, self.side));
@@ -2012,7 +1947,7 @@ impl Drop for SimStream {
 
 /// Listening socket on a simulated host.
 pub struct SimListener {
-    core: Arc<SimCore>,
+    net: SimNet,
     host: u32,
     host_name: String,
     port: u16,
@@ -2034,7 +1969,7 @@ impl SimListener {
         }
         let peer = st.hosts[peer_host as usize].name.clone();
         let stream = SimStream {
-            core: Arc::clone(&self.core),
+            net: self.net.clone(),
             conn: cid,
             side: 1,
             peer: peer.clone(),
@@ -2046,7 +1981,7 @@ impl SimListener {
 
     /// Accept the next inbound connection (blocking).
     pub fn accept_sim(&self) -> io::Result<(SimStream, String)> {
-        let mut st = self.core.state.lock();
+        let mut st = self.net.core.state.lock();
         loop {
             let l = st
                 .listeners
@@ -2061,7 +1996,7 @@ impl SimListener {
                     None => continue,
                 }
             }
-            match self.core.wait_on(
+            match self.net.core.wait_on(
                 &mut st,
                 WaitKind::Accept { host: self.host, port: self.port },
                 None,
@@ -2076,7 +2011,7 @@ impl SimListener {
     /// waker via [`set_accept_waker`](Self::set_accept_waker) to learn when
     /// the backlog grows.
     pub fn try_accept_sim(&self) -> io::Result<Option<(SimStream, String)>> {
-        let mut st = self.core.state.lock();
+        let mut st = self.net.core.state.lock();
         loop {
             let l = st
                 .listeners
@@ -2099,7 +2034,7 @@ impl SimListener {
     /// non-empty or the listener closes — the accept-side analogue of
     /// [`Pollable::set_waker`], for event-driven acceptors.
     pub fn set_accept_waker(&self, waker: Option<Arc<dyn Signal>>) {
-        let mut st = self.core.state.lock();
+        let mut st = self.net.core.state.lock();
         match waker {
             Some(w) => {
                 st.accept_wakers.insert((self.host, self.port), w);
@@ -2127,7 +2062,7 @@ impl Listener for SimListener {
     }
 
     fn close(&self) {
-        let mut st = self.core.state.lock();
+        let mut st = self.net.core.state.lock();
         let backlog: Vec<usize> = match st.listeners.get_mut(&(self.host, self.port)) {
             Some(l) => {
                 l.open = false;
@@ -2140,7 +2075,7 @@ impl Listener for SimListener {
         }
         st.wake_kind(WaitKind::Accept { host: self.host, port: self.port });
         st.queue_accept_wake(self.host, self.port);
-        self.core.unlock_and_wake(st);
+        self.net.core.unlock_and_wake(st);
     }
 }
 
@@ -2187,19 +2122,19 @@ impl Runtime for SimRuntime {
         let id =
             st.signals.insert(SignalState { set: false, race: davix_sync::race::SyncObj::new() });
         drop(st);
-        Arc::new(SimSignal { core: Arc::clone(&self.net.core), id })
+        Arc::new(SimSignal { net: self.net.clone(), id })
     }
 }
 
 /// Virtual-time-aware manual-reset event.
 struct SimSignal {
-    core: Arc<SimCore>,
+    net: SimNet,
     id: usize,
 }
 
 impl Signal for SimSignal {
     fn wait(&self, timeout: Option<Duration>) -> bool {
-        let mut st = self.core.state.lock();
+        let mut st = self.net.core.state.lock();
         let deadline = timeout.map(|t| st.now_ns + dur_ns(t));
         loop {
             if let Some(s) = st.signals.get(self.id).filter(|s| s.set) {
@@ -2207,7 +2142,7 @@ impl Signal for SimSignal {
                 s.race.acquire();
                 return true;
             }
-            match self.core.wait_on(&mut st, WaitKind::Signal { sig: self.id }, deadline) {
+            match self.net.core.wait_on(&mut st, WaitKind::Signal { sig: self.id }, deadline) {
                 WaitOutcome::Ready => continue,
                 WaitOutcome::TimedOut => return false,
             }
@@ -2215,25 +2150,25 @@ impl Signal for SimSignal {
     }
 
     fn set(&self) {
-        let mut st = self.core.state.lock();
+        let mut st = self.net.core.state.lock();
         if let Some(s) = st.signals.get_mut(self.id) {
             s.set = true;
             // Notify edge: publish this thread's clock for whoever wakes.
             s.race.release();
         }
         st.wake_kind(WaitKind::Signal { sig: self.id });
-        self.core.kick_clock(&st);
+        self.net.core.kick_clock(&st);
     }
 
     fn reset(&self) {
-        let mut st = self.core.state.lock();
+        let mut st = self.net.core.state.lock();
         if let Some(s) = st.signals.get_mut(self.id) {
             s.set = false;
         }
     }
 
     fn is_set(&self) -> bool {
-        let st = self.core.state.lock();
+        let st = self.net.core.state.lock();
         match st.signals.get(self.id).filter(|s| s.set) {
             Some(s) => {
                 // Observing `set` is as good as waking from the wait.
@@ -2247,6 +2182,6 @@ impl Signal for SimSignal {
 
 impl Drop for SimSignal {
     fn drop(&mut self) {
-        self.core.state.lock().signals.remove(self.id);
+        self.net.core.state.lock().signals.remove(self.id);
     }
 }

@@ -190,6 +190,40 @@ fn fin_propagates_as_eof() {
     assert_eq!(all, b"bye");
 }
 
+/// Sim daemons that hold only streams keep the clock running after the test
+/// drops every `SimNet`: the writer's timed-out read (a sleep in virtual
+/// time), its write and its FIN all still reach the reader.
+#[test]
+fn stream_only_daemons_outlive_every_net_handle() {
+    let net = two_hosts(Duration::from_millis(3), None);
+    let listener = net.bind("server", 80).unwrap();
+    let (client, server) = {
+        let _g = net.enter();
+        let client = net.connect("client", "server", 80).unwrap();
+        (client, listener.accept_sim().unwrap().0)
+    };
+    drop(listener);
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut reader = client;
+    net.spawn("stream-only-reader", move || {
+        let mut all = Vec::new();
+        let _ = tx.send(reader.read_to_end(&mut all).map(|_| all));
+    });
+    let mut writer = server;
+    net.spawn("stream-only-writer", move || {
+        netsim::Stream::set_read_timeout(&mut writer, Some(Duration::from_millis(40))).unwrap();
+        let err = writer.read(&mut [0u8; 1]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
+        writer.write_all(b"late").unwrap();
+        // drop → FIN
+    });
+    drop(net);
+
+    let got = rx.recv_timeout(Duration::from_secs(30)).expect("daemons finished the exchange");
+    assert_eq!(got.unwrap(), b"late");
+}
+
 /// Signals let unregistered-looking waits participate in virtual time:
 /// a sleeper thread sets a signal at t+100 ms; the waiter observes it and the
 /// clock advanced by exactly that much.
