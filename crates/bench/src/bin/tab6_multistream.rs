@@ -7,6 +7,11 @@
 //!
 //! Experiment: a 16 MiB file on three replicas, each behind a 4 MB/s link;
 //! sweep the stream count and also run with one replica dead.
+//!
+//! The harness *asserts* the claim after writing its report: every row
+//! returns the source bytes, throughput with every replica up never falls
+//! as streams are added, and two streams beat one. A regression exits
+//! non-zero in CI.
 
 use bytes::Bytes;
 use davix::{multistream_download, Config, MultistreamOptions};
@@ -47,6 +52,7 @@ fn main() {
     report.label("workload", format!("{} MiB, 3 replicas @ 4 MB/s", size / 1024 / 1024));
     let mut table =
         Table::new(&["streams", "dead", "time (s)", "throughput (MB/s)", "connections", "ok"]);
+    let mut rows = Vec::new();
 
     for (streams, dead) in [(1usize, 0usize), (2, 0), (3, 0), (6, 0), (3, 1)] {
         let tb = testbed(&data);
@@ -67,15 +73,14 @@ fn main() {
             Ok(got) => got == &data,
             Err(_) => false,
         };
-        report.metric(
-            &format!("s{streams}_dead{dead}.mb_per_s"),
-            size as f64 / elapsed.as_secs_f64() / 1e6,
-        );
+        let mb_per_s = size as f64 / elapsed.as_secs_f64() / 1e6;
+        report.metric(&format!("s{streams}_dead{dead}.mb_per_s"), mb_per_s);
+        rows.push((streams, dead, mb_per_s, ok));
         table.row(vec![
             streams.to_string(),
             dead.to_string(),
             secs(elapsed),
-            format!("{:.2}", size as f64 / elapsed.as_secs_f64() / 1e6),
+            format!("{mb_per_s:.2}"),
             tb.net.stats().conns_created.to_string(),
             if ok { "yes".into() } else { "NO".into() },
         ]);
@@ -83,6 +88,24 @@ fn main() {
     table.print();
     report.table("main", &table);
     report.write();
+
+    for &(streams, dead, _, ok) in &rows {
+        assert!(ok, "s{streams}_dead{dead}: downloaded bytes differ from the source");
+    }
+    let all_up: Vec<(usize, f64)> = rows
+        .iter()
+        .filter(|r| r.1 == 0)
+        .map(|&(streams, _, mb_per_s, _)| (streams, mb_per_s))
+        .collect();
+    for pair in all_up.windows(2) {
+        let ((fewer, slower), (more, faster)) = (pair[0], pair[1]);
+        assert!(
+            faster >= slower,
+            "throughput fell from {slower:.2} MB/s at {fewer} streams to {faster:.2} MB/s at {more}"
+        );
+    }
+    let (s1, s2) = (all_up[0].1, all_up[1].1);
+    assert!(s2 > s1, "2 streams ({s2:.2} MB/s) must beat 1 stream ({s1:.2} MB/s)");
     println!(
         "\nclaim check: throughput rises with streams (aggregating per-replica\n\
          bandwidth) while the connection count — the server-load price §2.4\n\

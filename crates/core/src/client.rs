@@ -118,15 +118,6 @@ impl DavixClient {
         self.inner.executor.metrics().snapshot()
     }
 
-    /// Arm (or disarm) the deliberately-broken `unsync-metric` canary used
-    /// by `davix-simfuzz --canary unsync-metric` to prove the `race-detect`
-    /// sanitizer catches an unsynchronized counter. Inert unless the
-    /// detector is compiled in; see
-    /// [`Metrics::unsync_canary`](crate::Metrics::unsync_canary).
-    pub fn set_unsync_metric_canary(&self, on: bool) {
-        self.inner.executor.metrics().set_unsync_canary(on);
-    }
-
     /// The executor, for advanced callers (benchmarks issue raw requests).
     pub fn executor(&self) -> &HttpExecutor {
         &self.inner.executor

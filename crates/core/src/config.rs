@@ -52,9 +52,6 @@ pub struct Config {
     /// Fragments closer than this many bytes are merged into one wire range
     /// (reading a small gap is cheaper than another part header).
     pub vector_merge_gap: u64,
-    /// Concurrency for the per-fragment fallback path of `pread_vec` and for
-    /// `SingleRanges` mode.
-    pub vector_fallback_parallelism: usize,
     /// Where to fetch Metalinks: `Some(base)` queries
     /// `{base}{path}?metalink` (a federation service); `None` asks the
     /// resource's own origin (`{url}?metalink`).
@@ -116,9 +113,12 @@ pub struct Config {
     /// fallback for servers that never answer 100).
     pub expect_continue_timeout: Duration,
     /// Concurrency cap of the client's shared background-I/O pool
-    /// ([`IoPool`]): multi-stream download workers, parallel upload
-    /// workers and cache read-ahead fetches all draw from this budget
-    /// instead of spawning their own threads.
+    /// ([`IoPool`]): cache read-ahead fetches and the helpers of every
+    /// parallel transfer (multi-stream download and upload workers, the
+    /// single-range fallback of `pread_vec`, replica fan-out) draw from
+    /// this budget instead of spawning their own threads. The thread that
+    /// starts a transfer works as one of its streams, so a transfer of
+    /// `n` streams asks the pool for `n - 1` helpers.
     ///
     /// [`IoPool`]: crate::IoPool
     pub io_threads: usize,
@@ -137,7 +137,6 @@ impl Default for Config {
             retry: RetryPolicy::default(),
             range_policy: RangePolicy::MultiRange,
             vector_merge_gap: 512,
-            vector_fallback_parallelism: 8,
             metalink_base: None,
             replica_failure_threshold: 2,
             replica_blacklist_cooldown: Duration::from_secs(5),

@@ -17,8 +17,8 @@ use crate::client::ClientInner;
 use crate::config::RangePolicy;
 use crate::error::{DavixError, Result};
 use crate::executor::{body_read_error, PreparedRequest, ResponseStream};
+use crate::iopool::Step;
 use crate::metrics::Metrics;
-use crate::util::parallel_map;
 use httpwire::multipart::{boundary_from_content_type, MultipartReader};
 use httpwire::range::{coalesce_fragments, format_range_header};
 use httpwire::{ContentRange, ResponseHead, StatusCode, Uri};
@@ -26,6 +26,10 @@ use ioapi::{IoStats, IoStatsSnapshot, RandomAccess};
 use parking_lot::Mutex;
 use std::io::Read;
 use std::sync::Arc;
+
+/// How many single-range GETs the per-fragment fallback of `pread_vec`
+/// (and [`RangePolicy::SingleRanges`]) keeps in flight at once.
+const SINGLE_RANGE_FANOUT: usize = 8;
 
 /// Stat result for a remote file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -375,52 +379,50 @@ impl RawFile {
         }
     }
 
-    /// Fallback: one single-range GET per wire range, in parallel through the
-    /// pool (bounded by `vector_fallback_parallelism`).
+    /// Fallback: one single-range GET per wire range, up to
+    /// [`SINGLE_RANGE_FANOUT`] at a time.
     fn fetch_parallel_single(&self, wire: &[(u64, usize)]) -> Result<Vec<Chunk>> {
-        let inner = Arc::clone(&self.inner);
-        let uri = self.uri.clone();
-        let rt = Arc::clone(self.inner.executor.runtime());
-        let results = parallel_map(
-            &rt,
-            wire.to_vec(),
-            self.inner.cfg.vector_fallback_parallelism,
-            move |(off, len): (u64, usize)| -> Result<Chunk> {
-                let range = format_range_header(&[(off, len)]);
-                let req = PreparedRequest::get(uri.clone()).header("Range", range);
-                inner.executor.execute_with(&req, None, |mut resp| {
-                    let mut data = vec![0u8; len];
-                    match resp.status() {
-                        StatusCode::PARTIAL_CONTENT => {
-                            validated_content_range(resp.head(), off, len, "pread")?;
-                            read_exact_stream(&mut resp, &mut data, "pread")?;
-                        }
-                        StatusCode::OK => {
-                            // Full-entity reply to a range request: without
-                            // streaming, every parallel fragment would pull
-                            // the whole file (N× amplification). Skip to the
-                            // window, read it, drop the rest on the floor.
-                            Metrics::bump(&inner.executor.metrics().range_downgrades);
-                            if skip_stream(&mut resp, off)? < off {
-                                return Err(DavixError::Protocol(format!(
-                                    "entity ended before requested range {off}+{len}"
-                                )));
-                            }
-                            read_exact_stream(&mut resp, &mut data, "pread")?;
-                        }
-                        status => {
-                            return Err(DavixError::from_status(
-                                status,
-                                format!("pread {off}+{len}"),
-                            ))
-                        }
-                    }
-                    Ok(Chunk { first: off, data })
-                })
-            },
-        );
-        results.into_iter().collect()
+        let (inner, uri) = (Arc::clone(&self.inner), self.uri.clone());
+        let fetch = move |_| {
+            let (inner, uri) = (Arc::clone(&inner), uri.clone());
+            move |_, &(off, len): &(u64, usize)| match fetch_single(&inner, &uri, off, len) {
+                Ok(chunk) => Step::Done(chunk),
+                Err(e) => Step::Fatal(e),
+            }
+        };
+        let pool = &self.inner.io_pool;
+        Ok(pool.fan_out(wire.to_vec(), SINGLE_RANGE_FANOUT, 0, fetch)?.results)
     }
+}
+
+/// One single-range GET of `off+len`, read straight into its chunk.
+fn fetch_single(inner: &ClientInner, uri: &Uri, off: u64, len: usize) -> Result<Chunk> {
+    let range = format_range_header(&[(off, len)]);
+    let req = PreparedRequest::get(uri.clone()).header("Range", range);
+    inner.executor.execute_with(&req, None, |mut resp| {
+        let mut data = vec![0u8; len];
+        match resp.status() {
+            StatusCode::PARTIAL_CONTENT => {
+                validated_content_range(resp.head(), off, len, "pread")?;
+                read_exact_stream(&mut resp, &mut data, "pread")?;
+            }
+            StatusCode::OK => {
+                // Full-entity reply to a range request: without streaming,
+                // every parallel fragment would pull the whole file (N×
+                // amplification). Skip to the window, read it, drop the
+                // rest on the floor.
+                Metrics::bump(&inner.executor.metrics().range_downgrades);
+                if skip_stream(&mut resp, off)? < off {
+                    return Err(DavixError::Protocol(format!(
+                        "entity ended before requested range {off}+{len}"
+                    )));
+                }
+                read_exact_stream(&mut resp, &mut data, "pread")?;
+            }
+            status => return Err(DavixError::from_status(status, format!("pread {off}+{len}"))),
+        }
+        Ok(Chunk { first: off, data })
+    })
 }
 
 /// The cache's upstream: block fetches are plain raw reads — scalar for one

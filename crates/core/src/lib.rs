@@ -224,7 +224,6 @@ pub mod posix;
 pub mod replicas;
 pub mod scheduler;
 pub mod upload;
-pub(crate) mod util;
 
 pub use cache::BlockCache;
 pub use client::DavixClient;

@@ -1,7 +1,7 @@
 //! Client-wide counters. Benchmarks difference these to report the paper's
 //! key quantities: requests, round trips, connection reuse.
 
-use davix_sync::{race, AtomicBool, AtomicU64, CheckedCell, Ordering};
+use davix_sync::{AtomicU64, Ordering};
 
 /// Declares every client counter once and generates [`Metrics`],
 /// [`Metrics::snapshot`], [`MetricsSnapshot`] and [`MetricsSnapshot::since`]
@@ -16,17 +16,6 @@ macro_rules! metrics {
         #[derive(Debug, Default)]
         pub struct Metrics {
             $($(#[doc = $doc])* pub $name: AtomicU64,)+
-            /// The deliberately-broken counter behind `davix-simfuzz --canary
-            /// unsync-metric`: a plain (non-atomic) cell bumped from both the
-            /// upload driver and the pool workers with **no** synchronization edge
-            /// between those bumps — exactly the bug the `race-detect` feature
-            /// exists to catch. Dormant unless [`Metrics::set_unsync_canary`] turns
-            /// it on *and* the detector is compiled in.
-            pub unsync_canary: CheckedCell<u64>,
-            /// Runtime switch for the canary bumps. `Relaxed` on purpose: the
-            /// switch itself must not smuggle in a happens-before edge that would
-            /// order the racing bumps.
-            unsync_canary_on: AtomicBool,
         }
 
         impl Metrics {
@@ -137,27 +126,6 @@ impl Metrics {
     /// Raise a high-water-mark gauge to at least `n`.
     pub fn record_max(gauge: &AtomicU64, n: u64) {
         gauge.fetch_max(n, Ordering::Relaxed);
-    }
-
-    /// Arm (or disarm) the `unsync-metric` canary. See
-    /// [`Metrics::unsync_canary`].
-    pub fn set_unsync_canary(&self, on: bool) {
-        self.unsync_canary_on.store(on, Ordering::Relaxed);
-    }
-
-    /// Touch the canary with a deliberately-unsynchronized plain write.
-    /// No-op unless the canary is armed and the race detector is compiled
-    /// in (without the detector the access would be genuine undefined
-    /// behavior, which is the point of the canary — and why it only ever
-    /// runs under `race-detect`, where the registry lock serializes the raw
-    /// access while *reporting* the missing edge). Write-only on purpose:
-    /// a write/write pair normalizes to the same report whichever side the
-    /// OS happened to run first, keeping the violation text replay-stable.
-    #[track_caller]
-    pub fn canary_bump(&self) {
-        if race::enabled() && self.unsync_canary_on.load(Ordering::Relaxed) {
-            self.unsync_canary.set(1);
-        }
     }
 }
 

@@ -17,11 +17,12 @@
 use crate::client::DavixClient;
 use crate::error::{DavixError, Result};
 use crate::file::DavFile;
+use crate::iopool::{chunk_spans, Step};
 use crate::metrics::Metrics;
 use crate::scheduler::{ReplicaId, ReplicaScheduler};
 use httpwire::Uri;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -61,23 +62,6 @@ pub struct MultistreamReport {
     pub completions: Vec<ChunkCompletion>,
     /// Times a worker abandoned its replica for the scheduler's next-best.
     pub respawns: u64,
-}
-
-struct Shared {
-    queue: Mutex<VecDeque<(usize, u64, usize)>>,
-    /// One slot per chunk. A worker that pops chunk `i` from the queue is
-    /// the only holder of `slots[i]`, so it can stream the body straight
-    /// into the slot's buffer while holding only that slot's (uncontended)
-    /// lock — no shared whole-file buffer, no copy through a scratch `Vec`.
-    slots: Vec<Mutex<Vec<u8>>>,
-    progress: Mutex<Progress>,
-    report: Mutex<MultistreamReport>,
-}
-
-struct Progress {
-    remaining_chunks: usize,
-    failures: usize,
-    fatal: Option<DavixError>,
 }
 
 /// Download a whole entity from `replicas` using `opts.streams` parallel
@@ -153,65 +137,25 @@ pub fn multistream_download_scheduled(
         last: Box::new(last_err.unwrap_or_else(|| DavixError::Metalink("unreachable".into()))),
     })?;
 
-    let mut chunks: VecDeque<(usize, u64, usize)> = VecDeque::new();
-    let mut off = 0u64;
-    while off < size {
-        let len = opts.chunk_size.min((size - off) as usize);
-        chunks.push_back((chunks.len(), off, len));
-        off += len as u64;
-    }
-    let n_chunks = chunks.len();
-    if n_chunks == 0 {
-        return Ok((Vec::new(), MultistreamReport::default()));
-    }
-
-    let shared = Arc::new(Shared {
-        slots: (0..n_chunks).map(|_| Mutex::new(Vec::new())).collect(),
-        queue: Mutex::new(chunks),
-        progress: Mutex::new(Progress { remaining_chunks: n_chunks, failures: 0, fatal: None }),
-        report: Mutex::new(MultistreamReport::default()),
-    });
-    let done = client.inner.executor.runtime().signal();
-    let live_streams = Arc::new(Mutex::new(0usize));
-    let pool = Arc::clone(&client.inner.io_pool);
-
-    let streams = opts.streams.min(n_chunks).max(1);
-    *live_streams.lock() = streams;
-    for s in 0..streams {
-        let client = client.clone();
-        let scheduler = Arc::clone(scheduler);
-        let shared = Arc::clone(&shared);
-        let done = Arc::clone(&done);
-        let live = Arc::clone(&live_streams);
-        let max_failures = opts.max_chunk_failures;
-        pool.submit(move || {
-            stream_worker(client, s, scheduler, shared, &done, &live, max_failures);
-        });
-    }
-
-    done.wait(None);
-    {
-        let mut st = shared.progress.lock();
-        if let Some(e) = st.fatal.take() {
-            return Err(e);
-        }
-        if st.remaining_chunks > 0 {
-            return Err(DavixError::AllReplicasFailed {
-                tried: scheduler.len(),
-                last: Box::new(DavixError::Metalink("all streams died".to_string())),
-            });
-        }
-    }
-    // Every slot is filled and no worker holds a lock any more: assemble the
-    // entity in chunk order (the only copy on this whole path). Each slot is
-    // taken (freed) right after it is copied, so resident memory peaks near
-    // one entity plus one chunk, not two entities.
+    let report = Arc::new(Mutex::new(MultistreamReport::default()));
+    let worker = {
+        let (client, scheduler, report) =
+            (client.clone(), Arc::clone(scheduler), Arc::clone(&report));
+        move |slot| stream_worker(client.clone(), slot, Arc::clone(&scheduler), Arc::clone(&report))
+    };
+    let chunks = client
+        .inner
+        .io_pool
+        .fan_out(chunk_spans(size, opts.chunk_size), opts.streams, opts.max_chunk_failures, worker)?
+        .results;
+    // Assemble the entity in chunk order (the only copy on this whole
+    // path). Each chunk is freed right after it is copied, so resident
+    // memory peaks near one entity plus one chunk, not two entities.
     let mut out = Vec::with_capacity(size as usize);
-    for slot in &shared.slots {
-        let chunk = std::mem::take(&mut *slot.lock());
+    for chunk in chunks {
         out.extend_from_slice(&chunk);
     }
-    let report = std::mem::take(&mut *shared.report.lock());
+    let report = std::mem::take(&mut *report.lock());
     Ok((out, report))
 }
 
@@ -258,16 +202,16 @@ pub fn multistream_download_verified(
     Ok(data)
 }
 
+/// Build the chunk closure of multi-stream worker `slot`; it keeps the
+/// worker's replica assignment and open files across chunks.
 fn stream_worker(
     client: DavixClient,
-    slot_idx: usize,
+    slot: usize,
     scheduler: Arc<ReplicaScheduler>,
-    shared: Arc<Shared>,
-    done: &Arc<dyn netsim::Signal>,
-    live: &Arc<Mutex<usize>>,
-    max_failures: usize,
-) {
+    report: Arc<Mutex<MultistreamReport>>,
+) -> impl FnMut(usize, &(u64, usize)) -> Step<Vec<u8>> {
     let rt = Arc::clone(client.inner.executor.runtime());
+    let metrics = Arc::clone(client.inner.executor.metrics());
     // The worker's replica assignment is re-validated against the scheduler
     // before every chunk: if the health picture moved (our replica got
     // blacklisted, a better one recovered) the worker follows it. Open
@@ -275,122 +219,70 @@ fn stream_worker(
     // near-equal replicas costs nothing — only a *failure-driven* switch
     // (a respawn) pays a fresh HEAD, and only those are counted as
     // respawns.
-    let mut files: std::collections::HashMap<ReplicaId, DavFile> = std::collections::HashMap::new();
+    let mut files: HashMap<ReplicaId, DavFile> = HashMap::new();
     let mut current: Option<ReplicaId> = None;
     let mut last_chunk_failed = false;
-    loop {
-        if shared.progress.lock().fatal.is_some() {
-            break; // another stream exhausted the failure budget
-        }
-        let chunk = shared.queue.lock().pop_front();
-        let Some((idx, off, len)) = chunk else { break };
-
-        let Some((id, uri)) = scheduler.assign(slot_idx) else { break };
+    move |idx, &(off, len)| {
+        let Some((id, uri)) = scheduler.assign(slot) else {
+            return Step::Fatal(DavixError::AllReplicasFailed {
+                tried: scheduler.len(),
+                last: Box::new(DavixError::Metalink("all streams died".to_string())),
+            });
+        };
         if current.is_some() && current != Some(id) && last_chunk_failed {
             // Respawn: the worker abandons its failed replica for the
-            // scheduler's next-best instead of dying with it. (Every loop
-            // path below re-assigns `last_chunk_failed` before the next
-            // check, so no reset is needed here.)
-            Metrics::bump(&client.inner.executor.metrics().streams_respawned);
-            shared.report.lock().respawns += 1;
+            // scheduler's next-best instead of dying with it.
+            Metrics::bump(&metrics.streams_respawned);
+            report.lock().respawns += 1;
         }
         current = Some(id);
-        if let std::collections::hash_map::Entry::Vacant(slot) = files.entry(id) {
+        if let Entry::Vacant(vacant) = files.entry(id) {
             // A successful open records nothing (a HEAD answering is not
             // evidence the reads will work — see `ReplicaFile::file_for`);
             // the chunk read right after feeds the scheduler.
             match DavFile::open_uncached(Arc::clone(&client.inner), uri.clone()) {
                 Ok(f) => {
-                    slot.insert(f);
+                    vacant.insert(f);
                 }
                 Err(_) => {
-                    scheduler.record_failure(id);
                     last_chunk_failed = true;
-                    shared.queue.lock().push_back((idx, off, len));
-                    if count_failure(&client, &scheduler, &shared, max_failures) {
-                        done.set();
-                        break;
-                    }
-                    continue;
+                    return requeue(&scheduler, id, &metrics);
                 }
             }
         }
-        let f = files.get(&id).expect("file ensured above");
-
-        // This worker popped chunk `idx`, so it owns `slots[idx]` until it
-        // finishes or requeues: the lock is uncontended and may be held
-        // across the network read. `pread` streams the part body straight
-        // into the slot — the chunk's final resting place — with no
-        // intermediate buffer.
+        // `pread` streams the part body straight into the chunk's final
+        // resting place — no intermediate buffer.
         let t0 = rt.now();
-        let result = {
-            let mut slot = shared.slots[idx].lock();
-            slot.resize(len, 0);
-            f.pread(off, &mut slot[..])
-        };
-        match result {
+        let mut chunk = vec![0u8; len];
+        match files.get(&id).expect("file ensured above").pread(off, &mut chunk) {
             Ok(n) if n == len => {
                 scheduler.record_success(id, rt.now() - t0);
                 last_chunk_failed = false;
-                {
-                    let mut rep = shared.report.lock();
-                    rep.completions.push(ChunkCompletion {
-                        chunk: idx,
-                        replica: uri.clone(),
-                        at: rt.now(),
-                    });
-                }
-                let mut st = shared.progress.lock();
-                st.remaining_chunks -= 1;
-                if st.remaining_chunks == 0 {
-                    done.set();
-                }
+                report.lock().completions.push(ChunkCompletion {
+                    chunk: idx,
+                    replica: uri,
+                    at: rt.now(),
+                });
+                Step::Done(chunk)
             }
             Ok(_) | Err(_) => {
-                // Chunk failed on this replica: clear the slot, requeue it,
-                // drop the suspect file (its pooled sessions may be broken)
-                // and let the scheduler re-assign — this worker keeps
-                // running on whatever replica ranks best next time around.
-                shared.slots[idx].lock().clear();
-                scheduler.record_failure(id);
+                // Drop the suspect file too: its pooled sessions may be
+                // broken.
                 files.remove(&id);
                 last_chunk_failed = true;
-                shared.queue.lock().push_back((idx, off, len));
-                if count_failure(&client, &scheduler, &shared, max_failures) {
-                    done.set();
-                    break;
-                }
+                requeue(&scheduler, id, &metrics)
             }
         }
     }
-    let mut l = live.lock();
-    *l -= 1;
-    if *l == 0 {
-        // Last stream out: if work remains, nobody will do it — wake the
-        // caller so it can report failure instead of hanging.
-        done.set();
-    }
 }
 
-/// Account one chunk failure against the shared budget; returns `true` when
-/// the budget is exhausted (fatal has been set).
-fn count_failure(
-    client: &DavixClient,
-    scheduler: &Arc<ReplicaScheduler>,
-    shared: &Arc<Shared>,
-    max_failures: usize,
-) -> bool {
-    let mut st = shared.progress.lock();
-    st.failures += 1;
-    Metrics::bump(&client.inner.executor.metrics().failovers);
-    if st.failures > max_failures && st.fatal.is_none() {
-        st.fatal = Some(DavixError::AllReplicasFailed {
-            tried: scheduler.len(),
-            last: Box::new(DavixError::Metalink(
-                "multistream failure budget exhausted".to_string(),
-            )),
-        });
-        return true;
-    }
-    st.fatal.is_some()
+/// Record a failed chunk and hand it back to the queue, for whichever
+/// worker gets to it next on whatever replica ranks best by then.
+fn requeue(scheduler: &ReplicaScheduler, id: ReplicaId, metrics: &Metrics) -> Step<Vec<u8>> {
+    scheduler.record_failure(id);
+    Metrics::bump(&metrics.failovers);
+    Step::Requeue(DavixError::AllReplicasFailed {
+        tried: scheduler.len(),
+        last: Box::new(DavixError::Metalink("multistream failure budget exhausted".to_string())),
+    })
 }

@@ -22,9 +22,9 @@ use crate::client::ClientInner;
 use crate::error::{DavixError, Result};
 use crate::executor::PreparedRequest;
 use crate::file::DavFile;
+use crate::iopool::Step;
 use crate::metrics::Metrics;
 use crate::scheduler::{same_resource, ReplicaId, ReplicaScheduler};
-use crate::util::parallel_map;
 use httpwire::Uri;
 use ioapi::{IoStats, IoStatsSnapshot, RandomAccess};
 use parking_lot::Mutex;
@@ -276,37 +276,42 @@ impl ReplicaCore {
         }
         batches.retain(|b| !b.frags.is_empty());
 
+        // Each batch comes back with its result and how long it took.
         let rt = Arc::clone(self.inner.executor.runtime());
-        let rt2 = Arc::clone(&rt);
-        let parallelism = batches.len();
-        type BatchResult = (ReplicaId, Vec<usize>, Vec<(u64, usize)>, Result<Vec<Vec<u8>>>, f64);
-        let results: Vec<BatchResult> = parallel_map(&rt, batches, parallelism, move |b: Batch| {
-            let t0 = rt2.now();
-            let r = b.file.pread_vec(&b.frags);
-            (b.id, b.slots, b.frags, r, (rt2.now() - t0).as_secs_f64())
-        });
+        let batches = Arc::new(batches);
+        let fetch = {
+            let batches = Arc::clone(&batches);
+            move |_| {
+                let (rt, batches) = (Arc::clone(&rt), Arc::clone(&batches));
+                move |_, &b: &usize| {
+                    let t0 = rt.now();
+                    let r = batches[b].file.pread_vec(&batches[b].frags);
+                    Step::Done((r, rt.now() - t0))
+                }
+            }
+        };
+        let width = batches.len();
+        let results = self.inner.io_pool.fan_out((0..width).collect(), width, 0, fetch)?.results;
 
         let mut out: Vec<Option<Vec<u8>>> = (0..fragments.len()).map(|_| None).collect();
-        for (id, slots, frags, result, secs) in results {
-            match result {
+        for (b, (result, took)) in batches.iter().zip(results) {
+            let data = match result {
                 Ok(data) => {
-                    self.scheduler.record_success(id, std::time::Duration::from_secs_f64(secs));
-                    for (slot, d) in slots.into_iter().zip(data) {
-                        out[slot] = Some(d);
-                    }
+                    self.scheduler.record_success(b.id, took);
+                    data
                 }
                 Err(e) if e.is_failover_candidate() => {
                     // This replica died mid-batch: record it, drop its file,
                     // and re-fetch just its share through the fail-over path.
-                    self.scheduler.record_failure(id);
+                    self.scheduler.record_failure(b.id);
                     Metrics::bump(&self.inner.executor.metrics().failovers);
-                    self.state.lock().files.remove(&id);
-                    let data = self.with_file(|f| f.pread_vec(&frags))?;
-                    for (slot, d) in slots.into_iter().zip(data) {
-                        out[slot] = Some(d);
-                    }
+                    self.state.lock().files.remove(&b.id);
+                    self.with_file(|f| f.pread_vec(&b.frags))?
                 }
                 Err(e) => return Err(e),
+            };
+            for (&slot, d) in b.slots.iter().zip(data) {
+                out[slot] = Some(d);
             }
         }
         Ok(out.into_iter().map(|d| d.expect("every fragment assigned to a batch")).collect())

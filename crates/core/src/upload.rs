@@ -27,14 +27,13 @@ use crate::client::DavixClient;
 use crate::config::Config;
 use crate::error::{DavixError, Result};
 use crate::executor::{HttpExecutor, PreparedRequest};
+use crate::iopool::{chunk_spans, Step};
 use crate::metrics::Metrics;
 use bytes::Bytes;
 use davix_sync::{AtomicU64, Ordering};
 use httpwire::{ContentRange, Method, ResponseHead, StatusCode, Uri};
 use ioapi::checksum::{adler32, adler32_combine, to_hex};
 use metalink::xml::Element;
-use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -220,24 +219,6 @@ impl Target {
     }
 }
 
-struct Progress {
-    remaining: usize,
-    /// Chunk attempts that failed and were requeued; doubles as the
-    /// failure budget and as `UploadReport::chunk_retries`.
-    failures: u64,
-    fatal: Option<DavixError>,
-}
-
-struct Shared {
-    queue: Mutex<VecDeque<(usize, u64, usize)>>,
-    /// Adler-32 of each chunk, recorded by whichever worker uploaded it.
-    digests: Mutex<Vec<Option<u32>>>,
-    progress: Mutex<Progress>,
-    /// Chunk payload currently resident in worker buffers (bytes); its
-    /// high-water mark feeds [`Metrics::peak_upload_buffer`].
-    outstanding: AtomicU64,
-}
-
 /// Upload `source` to `url` as parallel chunks, verify the assembled
 /// entity's checksum end-to-end, and commit atomically. See the module
 /// docs for the two server dialects; the destination must exist only after
@@ -286,86 +267,36 @@ pub fn multistream_upload(
 
     let target = Arc::new(resolve_target(ex, &uri, size, opts.protocol)?);
 
-    // Chunk geometry.
-    let mut chunks: VecDeque<(usize, u64, usize)> = VecDeque::new();
-    let mut off = 0u64;
-    while off < size {
-        let len = chunk_size.min((size - off) as usize);
-        chunks.push_back((chunks.len(), off, len));
-        off += len as u64;
-    }
-    let n_chunks = chunks.len();
-
-    let shared = Arc::new(Shared {
-        digests: Mutex::new(vec![None; n_chunks]),
-        queue: Mutex::new(chunks),
-        progress: Mutex::new(Progress { remaining: n_chunks, failures: 0, fatal: None }),
+    let spans = chunk_spans(size, chunk_size);
+    let n_chunks = spans.len();
+    let put = Arc::new(ChunkPut {
+        client: client.clone(),
+        source,
+        target: Arc::clone(&target),
         outstanding: AtomicU64::new(0),
     });
-    let rt = Arc::clone(ex.runtime());
-    let done = rt.signal();
-    let live = Arc::new(Mutex::new(0usize));
-    let pool = Arc::clone(&client.inner.io_pool);
-
-    let workers = streams.min(n_chunks).max(1);
-    *live.lock() = workers;
-    let metrics = Arc::clone(ex.metrics());
-    for _ in 0..workers {
-        let client = client.clone();
-        let source = Arc::clone(&source);
-        let target = Arc::clone(&target);
-        let shared = Arc::clone(&shared);
-        let done = Arc::clone(&done);
-        let live = Arc::clone(&live);
-        let max_failures = opts.max_chunk_failures;
-        let worker_metrics = Arc::clone(&metrics);
-        pool.submit(move || {
-            worker_metrics.canary_bump();
-            upload_worker(client, source, target, shared, &done, &live, max_failures);
-        });
-    }
-    // The driver-side canary touch: deliberately after the submits (so the
-    // pool handoff edge does not cover it) and before `done.wait` (so the
-    // completion edge does not either). Racing pair with the worker-side
-    // touch above — inert unless the `unsync-metric` canary is armed under
-    // `race-detect`.
-    metrics.canary_bump();
-    // `done` fires either when every chunk has succeeded or when the *last
-    // worker exits* — never while a chunk PUT is still in flight. That
-    // ordering matters for the abort below: a late segment landing after
-    // the abort's DELETE would silently re-create staging state on the
-    // server with nobody left to clean it up.
-    done.wait(None);
-
-    {
-        let mut st = shared.progress.lock();
-        if let Some(e) = st.fatal.take() {
-            drop(st);
+    let worker = move |_| {
+        let put = Arc::clone(&put);
+        move |idx, &(off, len): &(u64, usize)| put.chunk(idx, off, len)
+    };
+    // The fan-out returns only after every worker has exited — never
+    // while a chunk PUT is still in flight. That ordering matters for the
+    // abort below: a late segment landing after the abort's DELETE would
+    // silently re-create staging state on the server with nobody left to
+    // clean it up.
+    let fan = match client.inner.io_pool.fan_out(spans, streams, opts.max_chunk_failures, worker) {
+        Ok(fan) => fan,
+        Err(e) => {
             target.abort(ex);
             return Err(e);
         }
-        if st.remaining > 0 {
-            drop(st);
-            target.abort(ex);
-            return Err(DavixError::Protocol(
-                "upload workers exited with chunks unfinished".to_string(),
-            ));
-        }
-    }
-
+    };
     // Fold the per-chunk digests, in order, into the entity digest.
-    let digests = shared.digests.lock();
-    let mut combined = adler32(b"");
-    let mut off = 0u64;
-    for (idx, d) in digests.iter().enumerate() {
-        let len = chunk_size.min((size - off) as usize) as u64;
-        let d = d.ok_or_else(|| DavixError::Protocol(format!("chunk {idx} has no digest")))?;
-        combined = adler32_combine(combined, d, len);
-        off += len;
-    }
-    drop(digests);
+    let combined = fan
+        .results
+        .iter()
+        .fold(adler32(b""), |acc, &(digest, len)| adler32_combine(acc, digest, len));
 
-    let chunk_retries = shared.progress.lock().failures;
     let verified = match commit(ex, &uri, &target, size, combined, n_chunks) {
         Ok(v) => v,
         Err(e) => {
@@ -378,7 +309,7 @@ pub fn multistream_upload(
     Ok(UploadReport {
         bytes: size,
         chunks: n_chunks,
-        chunk_retries,
+        chunk_retries: fan.requeues,
         protocol: match *target {
             Target::S3 { .. } => UploadProtocol::S3Multipart,
             Target::Segmented { .. } => UploadProtocol::SegmentedPut,
@@ -530,84 +461,53 @@ fn digest_adler32(head: &ResponseHead) -> Option<String> {
     })
 }
 
-fn upload_worker(
+/// What every upload worker shares: where the chunks come from and go to.
+struct ChunkPut {
     client: DavixClient,
     source: Arc<dyn ChunkSource>,
     target: Arc<Target>,
-    shared: Arc<Shared>,
-    done: &Arc<dyn netsim::Signal>,
-    live: &Arc<Mutex<usize>>,
-    max_failures: usize,
-) {
-    let metrics = Arc::clone(client.inner.executor.metrics());
-    loop {
-        if shared.progress.lock().fatal.is_some() {
-            break; // another worker exhausted the failure budget
-        }
-        let chunk = shared.queue.lock().pop_front();
-        let Some((idx, off, len)) = chunk else { break };
+    /// Chunk payload currently resident in worker buffers (bytes); its
+    /// high-water mark feeds [`Metrics::peak_upload_buffer`].
+    outstanding: AtomicU64,
+}
 
+impl ChunkPut {
+    /// Read chunk `idx` from the source and PUT it; done with the chunk's
+    /// Adler-32 and length.
+    fn chunk(&self, idx: usize, off: u64, len: usize) -> Step<(u32, u64)> {
+        let metrics = self.client.inner.executor.metrics();
         // This worker now holds one chunk of payload; the high-water mark
         // across all workers is the bound the bench asserts.
-        let resident = shared.outstanding.fetch_add(len as u64, Ordering::Relaxed) + len as u64;
+        let resident = self.outstanding.fetch_add(len as u64, Ordering::Relaxed) + len as u64;
         Metrics::record_max(&metrics.peak_upload_buffer, resident);
         let mut buf = vec![0u8; len];
-        if let Err(e) = source.read_chunk(off, &mut buf) {
+        if let Err(e) = self.source.read_chunk(off, &mut buf) {
             // A source that cannot be read is fatal, not retryable: every
-            // replay would fail identically. (The caller wakes via the
-            // last-worker-out signal, after in-flight chunks land.)
-            shared.outstanding.fetch_sub(len as u64, Ordering::Relaxed);
-            let mut st = shared.progress.lock();
-            if st.fatal.is_none() {
-                st.fatal = Some(e);
-            }
-            break;
+            // replay would fail identically.
+            self.outstanding.fetch_sub(len as u64, Ordering::Relaxed);
+            return Step::Fatal(e);
         }
         let digest = adler32(&buf);
-        let req = target.chunk_request(idx, off, len);
+        let req = self.target.chunk_request(idx, off, len);
         let body = Bytes::from(buf);
-        let outcome = client
+        let outcome = self
+            .client
             .inner
             .executor
             .execute_upload(&req, &body)
             .and_then(|r| r.expect_success("upload chunk").map(|_| ()));
         drop(body);
-        shared.outstanding.fetch_sub(len as u64, Ordering::Relaxed);
-
+        self.outstanding.fetch_sub(len as u64, Ordering::Relaxed);
         match outcome {
             Ok(()) => {
-                shared.digests.lock()[idx] = Some(digest);
                 Metrics::bump(&metrics.chunks_uploaded);
-                let mut st = shared.progress.lock();
-                st.remaining -= 1;
-                if st.remaining == 0 {
-                    done.set();
-                }
+                Step::Done((digest, len as u64))
             }
-            Err(e) => {
-                // The executor already spent its retry budget on this
-                // chunk; requeue it so any worker (on a fresh connection)
-                // can try again, within the upload-wide failure budget.
-                // A fatal verdict does NOT wake the caller directly: the
-                // other workers must first finish their in-flight chunks
-                // (they observe `fatal` and exit, and the last one out
-                // signals), so the abort never races a live PUT.
-                shared.queue.lock().push_back((idx, off, len));
-                let mut st = shared.progress.lock();
-                st.failures += 1;
-                if st.failures > max_failures as u64 && st.fatal.is_none() {
-                    st.fatal = Some(e);
-                    break;
-                }
-            }
+            // The executor already spent its retry budget on this chunk;
+            // requeue it so any worker (on a fresh connection) can try
+            // again, within the upload-wide failure budget.
+            Err(e) => Step::Requeue(e),
         }
-    }
-    let mut l = live.lock();
-    *l -= 1;
-    if *l == 0 {
-        // Last worker out: wake the caller even if chunks remain, so it can
-        // report failure instead of hanging.
-        done.set();
     }
 }
 

@@ -29,15 +29,18 @@
 //! The deliberate-bug switches exist to prove the harness catches what it
 //! claims to catch: [`Canary::EagerSegmentCommit`] re-introduces a
 //! commit-atomicity bug in the storage nodes, and [`Canary::UnsyncMetric`]
-//! arms a deliberately-unsynchronized metrics counter that only the
+//! races two writes to a harness-owned plain cell that only the
 //! `race-detect` happens-before sanitizer can observe (see
 //! `netsim::race`). When the detector is compiled in, every run also
 //! collects its data-race reports as `race` violations, so a racing seed
 //! prints the same `seed=<u64>` reproduction line as any other failure.
 
+mod upload;
+
 use bytes::Bytes;
-use davix::{multistream_upload, Config, UploadOptions, UploadProtocol};
+use davix::{Config, UploadProtocol};
 use davix_repro::testbed::{Testbed, TestbedConfig, CLIENT, DATA_PATH, FED};
+use davix_sync::CheckedCell;
 use netsim::{buggify, FaultPlan, FaultStats, LinkSpec, SplitRng};
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,12 +55,11 @@ pub enum Canary {
     /// interrupted by a fault leaves a visible object whose bytes differ
     /// from the payload — an all-or-nothing violation the sweep must find.
     EagerSegmentCommit,
-    /// Arm the writer client's deliberately-unsynchronized metrics counter
-    /// (see `davix::Metrics::unsync_canary`): the upload driver and a pool
-    /// worker both touch a plain cell with no happens-before edge between
-    /// the touches. Invisible to the federation invariants — only the
-    /// `race-detect` vector-clock sanitizer flags it, as a `race`
-    /// violation. Inert unless that feature is compiled in.
+    /// Before each upload, write a harness-owned plain cell from a job on
+    /// the writer's I/O pool and from the harness thread, with no
+    /// happens-before edge between the writes. Invisible to the federation
+    /// invariants — only the `race-detect` vector-clock sanitizer flags
+    /// it, as a `race` violation. Inert unless that feature is compiled in.
     UnsyncMetric,
 }
 
@@ -240,9 +242,10 @@ pub fn run_one(cfg: &FuzzConfig) -> FuzzReport {
     let fingerprint = tb.net.install_fault_plan(cfg.plan.clone(), cfg.seed, &replica_hosts);
 
     // One io thread and one upload stream: at most one runnable OS thread
-    // at any instant (the driver parks while a pool worker runs), which
-    // keeps the whole run schedule-deterministic — the reproducibility
-    // contract `--seed` replay depends on.
+    // at any instant (a one-stream upload runs on this thread itself, and
+    // the canary's pool job runs while this thread parks), which keeps the
+    // whole run schedule-deterministic — the reproducibility contract
+    // `--seed` replay depends on.
     let fed_base: httpwire::Uri = format!("http://{FED}/myfed").parse().expect("fed base uri");
     let reader = tb.davix_client(
         Config::default()
@@ -253,9 +256,10 @@ pub fn run_one(cfg: &FuzzConfig) -> FuzzReport {
     );
     let writer =
         tb.davix_client(Config::default().with_io_threads(1).with_upload(1, 8192).no_retry());
-    if cfg.canary == Canary::UnsyncMetric {
-        writer.set_unsync_metric_canary(true);
-    }
+    // Without the detector compiled in, the canary's unordered writes
+    // would be a real data race, so it stays disarmed there.
+    let canary = (cfg.canary == Canary::UnsyncMetric && netsim::race::enabled())
+        .then(|| Arc::new(CheckedCell::new(0u64)));
     let connector = tb.net.connector(CLIENT);
 
     // The scheduler under the readmission invariant: it sees failures
@@ -333,14 +337,8 @@ pub fn run_one(cfg: &FuzzConfig) -> FuzzReport {
             } else {
                 UploadProtocol::SegmentedPut
             };
-            let opts = UploadOptions { protocol, max_chunk_failures: 2, ..Default::default() };
-            let ok = multistream_upload(
-                &writer,
-                &url,
-                Arc::new(data.clone()) as Arc<dyn davix::ChunkSource>,
-                &opts,
-            )
-            .is_ok();
+            let ok =
+                upload::put_object(&tb.net, &writer, &url, data.clone(), protocol, canary.as_ref());
             if ok {
                 uploads_ok += 1;
             } else {

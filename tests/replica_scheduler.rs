@@ -259,3 +259,77 @@ fn multistream_worker_respawns_when_its_replica_dies() {
     assert!(m.streams_respawned >= 1);
     assert!(m.replicas_blacklisted >= 1, "the dead replica must get blacklisted");
 }
+
+/// A multi-stream download that fails must not leave streams running: once
+/// `multistream_download` has returned its error, no worker may still pull
+/// chunk bytes that nobody will read.
+#[test]
+fn failed_multistream_download_leaves_no_stream_running() {
+    let data = payload(4_000_000);
+    let slow = LinkSpec {
+        delay: Duration::from_millis(5),
+        bandwidth: Some(200_000),
+        ..Default::default()
+    };
+    let tb = fed_testbed(&data, [LinkSpec::lan(), slow, slow]);
+    let _g = tb.net.enter();
+    let client = tb.davix_client(Config::default().no_retry());
+    let replicas: Vec<httpwire::Uri> = (0..3).map(|i| tb.url(i).parse().unwrap()).collect();
+
+    let net2 = tb.net.clone();
+    let rt = tb.net.runtime();
+    tb.net.spawn("killer", move || {
+        rt.sleep(Duration::from_millis(30));
+        net2.set_host_down("dpm1.cern.ch", true);
+    });
+
+    let err = davix::multistream_download(
+        &client,
+        &replicas,
+        &MultistreamOptions { streams: 3, chunk_size: 1024 * 1024, max_chunk_failures: 0 },
+    )
+    .unwrap_err();
+    assert!(matches!(err, DavixError::AllReplicasFailed { .. }), "{err}");
+    let at_return = client.metrics().bytes_in;
+    tb.net.sleep(Duration::from_secs(20));
+    assert_eq!(
+        client.metrics().bytes_in,
+        at_return,
+        "streams kept downloading after the download returned its error"
+    );
+}
+
+/// Read-ahead on a client whose I/O pool has a single thread: the
+/// read-ahead job itself occupies the pool, and its vectored fetch fans out
+/// across two replicas. The fan-out must still complete (the job works the
+/// batches itself instead of waiting for a pool helper) and land the right
+/// bytes.
+#[test]
+fn readahead_fan_out_completes_on_a_saturated_pool() {
+    let data = payload(600_000);
+    let tb = fed_testbed(&data, [LinkSpec::lan(), LinkSpec::lan(), LinkSpec::lan()]);
+    let _g = tb.net.enter();
+    let client = tb.davix_client(
+        fed_config()
+            .replica_blacklist(1, Duration::from_secs(600))
+            .with_io_threads(1)
+            .with_cache(4 << 20)
+            .with_cache_block_size(32 * 1024)
+            .with_readahead(64 * 1024, 256 * 1024),
+    );
+    let file = client.open_failover(&tb.url(0)).unwrap();
+    // Kill the origin so the first read resolves the Metalink; the two
+    // surviving replicas are what the read-ahead fans out over.
+    tb.net.set_host_down("dpm1.cern.ch", true);
+    let mut got = vec![0u8; data.len()];
+    let mut off = 0usize;
+    while off < got.len() {
+        let end = (off + 32 * 1024).min(got.len());
+        let n = file.pread(off as u64, &mut got[off..end]).unwrap();
+        assert!(n > 0, "short read at {off}");
+        off += n;
+    }
+    assert_eq!(got, data);
+    assert!(client.metrics().bytes_prefetched > 0, "the scan must have read ahead");
+    assert_eq!(client.io_pool().peak_workers(), 1);
+}
